@@ -149,11 +149,6 @@ class CohomologyProfile:
                 tgt[w] = tgt.get(w, 0) + mult * m
         return CohomologyProfile(self.n, groups)
 
-    def scaled(self, mult: int) -> "CohomologyProfile":
-        if mult == 0:
-            return CohomologyProfile(self.n)
-        return CohomologyProfile(self.n).merged(self, mult)
-
     def to_dict(self) -> dict:
         return {
             str(q): sorted(
@@ -189,10 +184,6 @@ def bbw_cohomology(ctx: Grassmannian, bundle: Bundle) -> CohomologyProfile:
     degree, sorted_weight = outcome
     glweight = tuple(x - r for x, r in zip(sorted_weight, staircase))
     return CohomologyProfile(ctx.n, {degree: {glweight: 1}})
-
-
-def dual_bundle(bundle: Bundle) -> Bundle:
-    return bundle.dual()
 
 
 def canonical_bundle(ctx: Grassmannian) -> Bundle:

@@ -28,13 +28,11 @@ from .classes import (
 from .gl2 import wedge_power_gl2
 from .koszul import (
     AXIOMS,
-    IDEAL_SHEAF,
     DimValue,
-    analyze,
-    build_page,
     deformation_numbers,
     euler_consistency,
     ideal_sheaf_cohomology,
+    koszul_analysis,
     restricted_cohomology,
 )
 from .oracles import (
@@ -337,20 +335,17 @@ def _run_remark_d34(d: int):
     ctx = _plane(d)
     computed = {}
     for name in ("tangent", "sym_cube_dual"):
-        coefficient = named_class(ctx, name)
-        page = build_page(ctx, IDEAL_SHEAF, coefficient)
-        verdicts = analyze(page)
-        restricted = restricted_cohomology(ctx, coefficient)
+        analysis = koszul_analysis(ctx, named_class(ctx, name))
         computed[name] = {
-            "nonzero_entries": [list(entry) for entry in page.nonzero_entries()],
+            "nonzero_entries": [list(entry) for entry in analysis.page.nonzero_entries()],
             "ideal_verdicts": {
                 str(m): v.to_dict()
-                for m, v in sorted(verdicts.items())
+                for m, v in sorted(analysis.verdicts.items())
                 if v.upper_bound or not v.determined
             },
             "restricted": {
                 str(m): _dv(value)
-                for m, value in sorted(restricted.items())
+                for m, value in enumerate(analysis.restricted)
                 if value.upper
             },
         }
@@ -614,12 +609,13 @@ def run_checks(
     if jobs < 1:
         raise UsageError("jobs must be at least 1")
     defs = _resolve(check_ids)
-    tasks: list[tuple[CheckDef, int | None]] = []
-    for cdef in defs:
-        if cdef.d_independent:
-            tasks.append((cdef, None))
-        else:
-            tasks.extend((cdef, d) for d in range(d_min, d_max + 1))
+    # d-major, so that the checks of one d reuse its Koszul analyses while
+    # they are still memoised; the results are sorted below
+    tasks: list[tuple[CheckDef, int | None]] = [
+        (cdef, None) for cdef in defs if cdef.d_independent
+    ]
+    for d in range(d_min, d_max + 1):
+        tasks.extend((cdef, d) for cdef in defs if not cdef.d_independent)
     if jobs == 1:
         results = [_execute(cdef, d) for cdef, d in tasks]
     else:

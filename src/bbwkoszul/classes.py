@@ -1,9 +1,9 @@
 """Formal direct sums of irreducible homogeneous bundles and their calculus.
 
-Tensor products run Littlewood-Richardson on the quotient side (negative
-entries handled by a uniform determinant pre-shift, products truncated to
-the quotient rank) and Clebsch-Gordan on the rank-2 subbundle side (plain
-addition when the subbundle is a line). Cohomology of a class is the
+Tensor products run Littlewood-Richardson on both factors, the quotient
+side and the subbundle side alike: each weight gets its own determinant
+pre-shift onto a partition, and the product is truncated to the rank of
+its factor before the shifts are undone. Cohomology of a class is the
 multiplicity-weighted union over its summands.
 
 Displayed decompositions in the source material trivialize det V; the
@@ -27,7 +27,7 @@ from .bbw import (
     canonical_bundle,
     validate_bundle,
 )
-from .gl2 import gl2_tensor, wedge_power_gl2
+from .gl2 import wedge_power_gl2
 from .weights import Weight, littlewood_richardson
 
 
@@ -69,13 +69,6 @@ class EquivariantClass:
 
     def rank(self) -> int:
         return sum(m * bundle_rank(self.ctx, b) for b, m in self._summands.items())
-
-    def scaled(self, mult: int) -> "EquivariantClass":
-        if mult < 0:
-            raise ValueError("negative multiplicity")
-        return EquivariantClass(
-            self.ctx, {b: m * mult for b, m in self._summands.items()}
-        )
 
     def __add__(self, other: "EquivariantClass") -> "EquivariantClass":
         self._check_ctx(other)
@@ -124,6 +117,9 @@ class EquivariantClass:
             and self._summands == other._summands
         )
 
+    def __hash__(self) -> int:
+        return hash((self.ctx, frozenset(self._summands.items())))
+
     def __repr__(self) -> str:
         if self.is_empty:
             return f"EquivariantClass({self.ctx}, 0)"
@@ -134,30 +130,24 @@ class EquivariantClass:
         return f"EquivariantClass({self.ctx}, {body})"
 
 
-def _q_tensor(ctx: Grassmannian, la: Weight, lb: Weight) -> Counter[Weight]:
-    """Quotient-side product: shift to partitions, LR, truncate, unshift."""
-    r = ctx.quotient_rank
-    ta = max(0, -la[-1])
-    tb = max(0, -lb[-1])
-    pa = tuple(x + ta for x in la)
-    pb = tuple(x + tb for x in lb)
+def _shifted_lr(rank: int, a: Weight, b: Weight) -> Counter[Weight]:
+    """Product of two GL(rank) irreducibles: shift to partitions, LR, truncate, unshift."""
+    ta = max(0, -a[-1])
+    tb = max(0, -b[-1])
+    pa = tuple(x + ta for x in a)
+    pb = tuple(x + tb for x in b)
     out: Counter[Weight] = Counter()
     for nu, c in littlewood_richardson(pa, pb).items():
-        if len(nu) > r:
-            continue  # rank-zero Schur functor of Q
-        padded = nu + (0,) * (r - len(nu))
+        if len(nu) > rank:
+            continue  # rank-zero Schur functor
+        padded = nu + (0,) * (rank - len(nu))
         out[tuple(x - ta - tb for x in padded)] += c
     return out
 
 
 def _tensor_bundles(ctx: Grassmannian, b1: Bundle, b2: Bundle) -> Counter[Bundle]:
-    q_part = _q_tensor(ctx, b1.lam_q, b2.lam_q)
-    if ctx.k == 1:
-        s_part: Counter[Weight] = Counter({(b1.mu_s[0] + b2.mu_s[0],): 1})
-    elif ctx.k == 2:
-        s_part = gl2_tensor(b1.mu_s, b2.mu_s)
-    else:
-        raise NotImplementedError("subbundle rank above 2 is out of scope")
+    q_part = _shifted_lr(ctx.quotient_rank, b1.lam_q, b2.lam_q)
+    s_part = _shifted_lr(ctx.k, b1.mu_s, b2.mu_s)
     out: Counter[Bundle] = Counter()
     for lam, cq in q_part.items():
         for mu, cs in s_part.items():

@@ -22,7 +22,10 @@ every number assembled with their help names them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 from .bbw import CohomologyProfile, Grassmannian
 from .classes import EquivariantClass, named_class, wedge_class
@@ -57,10 +60,6 @@ class KoszulPage:
         return min(self.columns)
 
     @property
-    def p_max(self) -> int:
-        return 0
-
-    @property
     def q_max(self) -> int:
         return self.ctx.dimension
 
@@ -82,13 +81,6 @@ class KoszulPage:
             for q in self.columns[p].degrees():
                 out.append((p, q, self.columns[p].dimension(q)))
         return out
-
-    def total_degree_dimension(self, m: int) -> int:
-        return sum(
-            self.columns[p].dimension(m - p)
-            for p in self.columns
-            if 0 <= m - p <= self.q_max
-        )
 
     def total_degree_constituents(self, m: int) -> frozenset[Weight]:
         out: frozenset[Weight] = frozenset()
@@ -155,8 +147,7 @@ def _entry_blocking(page: KoszulPage, p: int, q: int) -> tuple[BlockingPair, ...
     if not mine:
         return ()
     found = []
-    width = page.p_max - page.p_min
-    for r in range(1, width + 1):
+    for r in range(1, -page.p_min + 1):
         for pp, qq in ((p - r, q + r - 1), (p + r, q - r + 1)):
             other = page.entry_constituents(pp, qq)
             if other and (mine & other):
@@ -221,30 +212,31 @@ class DimValue:
         return {"lower": self.lower, "upper": self.upper}
 
 
-def ideal_sheaf_cohomology(
-    ctx: Grassmannian, coefficient: EquivariantClass
-) -> dict[int, DimValue]:
-    """Cohomology of (ideal sheaf of Z) tensor F, per degree, from the page verdicts."""
-    page = build_page(ctx, IDEAL_SHEAF, coefficient)
-    verdicts = analyze(page)
-    out = {}
-    for m in range(ctx.dimension + 1):
-        v = verdicts.get(m)
-        if v is None:
-            out[m] = DimValue.of(0)
-        elif v.determined:
-            out[m] = DimValue.of(v.dimension)
-        else:
-            out[m] = DimValue(0, v.upper_bound)
-    return out
+# A context fixes d, and the checks of one d share four keys. run_checks
+# visits d-major, so four entries catch every reuse; more only hold memory.
+ANALYSIS_CACHE_SIZE = 4
 
 
-def restricted_cohomology(
-    ctx: Grassmannian, coefficient: EquivariantClass
-) -> dict[int, DimValue]:
-    """Cohomology of F restricted to the zero locus Z, assembled degree by degree.
+@dataclass(frozen=True)
+class KoszulAnalysis:
+    """What the ideal-sheaf page of one coefficient class F pins down.
 
-    Uses the three-term exactness of 0 -> I(x)F -> F -> F|Z -> 0:
+    ``ideal[m]`` is the cohomology of (ideal sheaf of Z) tensor F in
+    degree m and ``restricted[m]`` that of F restricted to Z, for
+    0 <= m <= dim.
+    """
+
+    page: KoszulPage
+    verdicts: Mapping[int, DegreeVerdict]
+    ideal: tuple[DimValue, ...]
+    restricted: tuple[DimValue, ...]
+
+
+@lru_cache(maxsize=ANALYSIS_CACHE_SIZE)
+def koszul_analysis(ctx: Grassmannian, coefficient: EquivariantClass) -> KoszulAnalysis:
+    """Build and analyze the ideal-sheaf page, then assemble the restriction.
+
+    The restriction uses the three-term exactness of 0 -> I(x)F -> F -> F|Z -> 0:
 
         h^m(F|Z) = (h^m(F) - rank a_m) + (h^(m+1)(I(x)F) - rank a_(m+1)),
 
@@ -258,13 +250,15 @@ def restricted_cohomology(
     ambient = coefficient.cohomology()
     top = ctx.dimension
 
-    def ideal_dim(m: int) -> DimValue:
+    ideal = []
+    for m in range(top + 2):
         v = verdicts.get(m)
         if v is None:
-            return DimValue.of(0)
-        if v.determined:
-            return DimValue.of(v.dimension)
-        return DimValue(0, v.upper_bound)
+            ideal.append(DimValue.of(0))
+        elif v.determined:
+            ideal.append(DimValue.of(v.dimension))
+        else:
+            ideal.append(DimValue(0, v.upper_bound))
 
     def rank_bounds(a: DimValue, degree: int) -> DimValue:
         b_dim = ambient.dimension(degree)
@@ -276,15 +270,31 @@ def restricted_cohomology(
             return DimValue.of(0)
         return DimValue(0, min(a.upper, b_dim))
 
-    out = {}
+    restricted = []
     for m in range(top + 1):
-        a_here, a_next = ideal_dim(m), ideal_dim(m + 1)
+        a_here, a_next = ideal[m], ideal[m + 1]
         r_here, r_next = rank_bounds(a_here, m), rank_bounds(a_next, m + 1)
         b_here = ambient.dimension(m)
         lower = (b_here - r_here.upper) + max(0, a_next.lower - r_next.upper)
         upper = (b_here - r_here.lower) + (a_next.upper - r_next.lower)
-        out[m] = DimValue(max(0, lower), max(0, upper))
-    return out
+        restricted.append(DimValue(max(0, lower), max(0, upper)))
+    return KoszulAnalysis(
+        page, MappingProxyType(verdicts), tuple(ideal[: top + 1]), tuple(restricted)
+    )
+
+
+def ideal_sheaf_cohomology(
+    ctx: Grassmannian, coefficient: EquivariantClass
+) -> dict[int, DimValue]:
+    """Cohomology of (ideal sheaf of Z) tensor F, per degree, from the page verdicts."""
+    return dict(enumerate(koszul_analysis(ctx, coefficient).ideal))
+
+
+def restricted_cohomology(
+    ctx: Grassmannian, coefficient: EquivariantClass
+) -> dict[int, DimValue]:
+    """Cohomology of F restricted to the zero locus Z, per degree (see koszul_analysis)."""
+    return dict(enumerate(koszul_analysis(ctx, coefficient).restricted))
 
 
 @dataclass(frozen=True)
@@ -378,8 +388,8 @@ def deformation_numbers(d: int, side: str) -> DeformationNumbers:
 
     tangent = named_class(ctx, "tangent")
     normal = named_class(ctx, "sym_cube_dual")
-    restricted_tangent = restricted_cohomology(ctx, tangent)
-    restricted_normal = restricted_cohomology(ctx, normal)
+    restricted_tangent = koszul_analysis(ctx, tangent).restricted
+    restricted_normal = koszul_analysis(ctx, normal).restricted
     h0_tangent = restricted_tangent[0].exact
     h1_tangent_ambient = restricted_tangent[1].exact
     h0_normal = restricted_normal[0].exact
@@ -411,14 +421,12 @@ def euler_consistency(ctx: Grassmannian, coefficient: EquivariantClass) -> bool:
     cohomology instead) and, unconditionally, the ambient Euler
     characteristic minus that of the ideal-sheaf page.
     """
-    restriction_page = build_page(ctx, RESTRICTION, coefficient)
-    chi_page = restriction_page.euler_characteristic()
-    restricted = restricted_cohomology(ctx, coefficient)
-    if all(v.exact is not None for v in restricted.values()):
-        chi_restricted = sum((-1) ** m * v.exact for m, v in restricted.items())
+    chi_page = build_page(ctx, RESTRICTION, coefficient).euler_characteristic()
+    analysis = koszul_analysis(ctx, coefficient)
+    if all(v.exact is not None for v in analysis.restricted):
+        chi_restricted = sum((-1) ** m * v.exact for m, v in enumerate(analysis.restricted))
         if chi_restricted != chi_page:
             return False
-    ideal_page = build_page(ctx, IDEAL_SHEAF, coefficient)
     return chi_page == (
-        coefficient.euler_characteristic() - ideal_page.euler_characteristic()
+        coefficient.euler_characteristic() - analysis.page.euler_characteristic()
     )

@@ -68,7 +68,8 @@ def _weyl_product(w: Weight) -> int:
             num *= w[i] - w[j] + j - i
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0, f"Weyl product not integral for {w}"
+    if r:
+        raise ArithmeticError(f"Weyl product not integral for {w}")
     return q
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from bbwkoszul.bbw import Bundle, Grassmannian
 from bbwkoszul.classes import (
@@ -9,6 +10,7 @@ from bbwkoszul.classes import (
     verify_claimed_decompositions,
     wedge_class,
 )
+from bbwkoszul.gl2 import gl2_tensor
 
 GR27 = Grassmannian(2, 7)
 P6 = Grassmannian.projective_space(7)
@@ -73,6 +75,26 @@ class TestTensor:
                 for b in names:
                     ca, cb = named_class(ctx, a), named_class(ctx, b)
                     assert ca.tensor(cb).rank() == ca.rank() * cb.rank()
+
+    @given(st.data())
+    def test_random_irreducibles(self, data):
+        k = data.draw(st.sampled_from((1, 2, 3)))
+        ctx = Grassmannian(k, k + data.draw(st.integers(1, 3)))
+
+        def weight(length):
+            entries = data.draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+            return tuple(sorted(entries, reverse=True))
+
+        a_lam, a_mu = weight(ctx.quotient_rank), weight(k)
+        b_lam, b_mu = weight(ctx.quotient_rank), weight(k)
+        a, b = cls(ctx, a_lam, a_mu), cls(ctx, b_lam, b_mu)
+        assert a.tensor(b).rank() == a.rank() * b.rank()
+        if k == 2:
+            zero_q = (0,) * ctx.quotient_rank
+            s_product = cls(ctx, zero_q, a_mu).tensor(cls(ctx, zero_q, b_mu))
+            assert s_product == EquivariantClass(
+                ctx, {Bundle(zero_q, mu): m for mu, m in gl2_tensor(a_mu, b_mu).items()}
+            )
 
     def test_context_mismatch(self):
         with pytest.raises(ValueError):

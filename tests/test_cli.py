@@ -1,7 +1,17 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import bbwkoszul
 from bbwkoszul import checks
 from bbwkoszul.cli import main
+
+# sha256 of the default report; every change must leave it byte-identical
+GOLDEN_SHA256 = "2910a0b388725e2d8ab5a0a98b1dba47e6a9a89d9b6952cf164a211ef8e5bd46"
+GOLDEN_ARGV = ("--format", "json", "--no-timestamp")
 
 
 def run_cli(capsys, *argv):
@@ -95,3 +105,23 @@ def test_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "--d-min", "6", "--d-max", "6", "--check", "lemma-s")
     assert code == 1
     assert "fail" in out
+
+
+def test_default_report_matches_golden_digest(capsys):
+    code, out, _ = run_cli(capsys, *GOLDEN_ARGV)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256
+
+
+def test_default_report_digest_without_asserts():
+    # -O strips assert statements; the report must not depend on them
+    src = str(Path(bbwkoszul.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bbwkoszul.cli", *GOLDEN_ARGV],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256

@@ -1,6 +1,8 @@
 import pytest
 
-from bbwkoszul.bbw import Grassmannian
+from bbwkoszul import koszul
+from bbwkoszul.bbw import Bundle, Grassmannian
+from bbwkoszul.checks import run_checks
 from bbwkoszul.classes import EquivariantClass, named_class
 from bbwkoszul.koszul import (
     AXIOMS,
@@ -12,6 +14,7 @@ from bbwkoszul.koszul import (
     deformation_numbers,
     euler_consistency,
     ideal_sheaf_cohomology,
+    koszul_analysis,
     restricted_cohomology,
 )
 
@@ -181,6 +184,36 @@ class TestEulerConsistency:
         ctx = plane(3)
         assert euler_consistency(ctx, named_class(ctx, "tangent"))
         assert euler_consistency(ctx, named_class(ctx, "sym_cube_dual"))
+
+
+class TestMemo:
+    def test_each_key_built_once_per_report(self, monkeypatch):
+        # d = 5, 6 with the three deformation checks touch 4 keys per d
+        built = []
+        original = koszul.build_page
+
+        def counting(ctx, variant, coefficient):
+            built.append((ctx, variant, coefficient))
+            return original(ctx, variant, coefficient)
+
+        koszul_analysis.cache_clear()
+        monkeypatch.setattr(koszul, "build_page", counting)
+        run_checks(5, 6, ["prop-cubic", "prop-fano", "theorem-moduli"])
+        assert len(built) == 8
+
+    def test_views_return_copies(self):
+        ctx = plane(5)
+        coefficient = named_class(ctx, "tangent")
+        restricted_cohomology(ctx, coefficient).clear()
+        assert restricted_cohomology(ctx, coefficient)[0].exact == 48
+
+    def test_equal_classes_hash_equal(self):
+        ctx = plane(5)
+        a, b = Bundle((1, 0, 0, 0, 0), (0, -1)), Bundle((0,) * 5, (0, -3))
+        first = EquivariantClass(ctx, {a: 1, b: 2})
+        second = EquivariantClass(ctx, {b: 2, a: 1})
+        assert first == second
+        assert hash(first) == hash(second)
 
 
 class TestVanishingTable:
