@@ -105,7 +105,9 @@ def _line(d: int) -> Grassmannian:
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (status, computed, expected, notes, axiom_names)
+# runners, bound to their catalog entries as CheckDef.run: each is called with d
+# (with nothing when d-independent) and returns
+# (status, computed, expected, notes, axiom_names)
 
 
 def _run_example_universal(d: int):
@@ -176,29 +178,29 @@ def _run_decompositions(d: int):
 
 
 def _lemma_profiles(d: int):
+    """Koszul-term cohomologies, read off the memoised ideal-sheaf pages.
+
+    Column p of the page of F is the cohomology of the wedge_level(p)-th
+    exterior power of the cubic power of S tensored with F. Returns the
+    context, {(factor label, level): profile} and the pairing, which is
+    level 1 of the normal side.
+    """
     ctx = _plane(d)
-    sym3 = named_class(ctx, "sym_cube")
-    tangent = named_class(ctx, "tangent")
-    sym3dual = named_class(ctx, "sym_cube_dual")
     profiles = {}
-    for level in (1, 2, 3, 4):
-        profiles[f"wedge{level}_tangent"] = (
-            wedge_class(sym3, level).tensor(tangent).cohomology()
-        )
-    for level in (2, 3, 4):
-        profiles[f"wedge{level}_sym3dual"] = (
-            wedge_class(sym3, level).tensor(sym3dual).cohomology()
-        )
-    pairing = sym3.tensor(sym3dual).cohomology()
+    for label, name in (("tangent", "tangent"), ("sym3dual", "sym_cube_dual")):
+        page = koszul_analysis(ctx, named_class(ctx, name)).page
+        for p in sorted(page.columns, key=page.wedge_level):
+            profiles[label, page.wedge_level(p)] = page.columns[p]
+    pairing = profiles.pop(("sym3dual", 1))
     return ctx, profiles, pairing
 
 
 def _run_lemma_cohomology(d: int):
     ctx, profiles, pairing = _lemma_profiles(d)
+    hits = {key: prof for key, prof in profiles.items() if not prof.is_empty}
     nonzero = {
-        label: {str(q): prof.dimension(q) for q in prof.degrees()}
-        for label, prof in profiles.items()
-        if not prof.is_empty
+        f"wedge{level}_{label}": {str(q): prof.dimension(q) for q in prof.degrees()}
+        for (label, level), prof in hits.items()
     }
     exp_pairing = expected_value("lemma-cohomology", "h0_pairing", d)
     pairing_ok = (
@@ -226,20 +228,19 @@ def _run_lemma_cohomology(d: int):
         },
         "h0_pairing": exp_pairing,
     }
-    tangent_hits = [l for l in nonzero if l.endswith("_tangent")]
-    normal_hits = [l for l in nonzero if l.endswith("_sym3dual")]
+    tangent_levels = [level for label, level in hits if label == "tangent"]
+    normal_levels = [level for label, level in hits if label == "sym3dual"]
     structure_ok = (
         pairing_ok
         and len(nonzero) == exp["extra_groups"]
-        and tangent_hits == ["wedge2_tangent"]
+        and tangent_levels == [2]
         and nonzero.get("wedge2_tangent") == {"4": 7}
-        and len(normal_hits) == 1
-        and list(nonzero[normal_hits[0]].keys()) == ["5"]
-        and nonzero[normal_hits[0]]["5"] == exp["group_dimension"]
+        and len(normal_levels) == 1
+        and nonzero[f"wedge{normal_levels[0]}_sym3dual"] == {"5": exp["group_dimension"]}
     )
     if not structure_ok:
         return FAIL, computed, exp, "", ()
-    level_found = int(normal_hits[0][5])
+    level_found = normal_levels[0]
     computed["normal_side_wedge_level"] = level_found
     if level_found == exp["normal_side"]["wedge"]:
         return PASS, computed, exp, "", ()
@@ -378,7 +379,8 @@ class CheckDef:
     check_id: str
     description: str
     claim: str
-    min_d: int | None = 3
+    run: Callable[..., tuple]
+    min_d: int = 3
     only_d: tuple[int, ...] | None = None
     informational: bool = False
     d_independent: bool = False
@@ -396,7 +398,7 @@ class CheckDef:
             return True
         if self.only_d is not None:
             return d in self.only_d
-        return d >= (self.min_d or 3)
+        return d >= self.min_d
 
 
 CATALOG: tuple[CheckDef, ...] = (
@@ -404,49 +406,58 @@ CATALOG: tuple[CheckDef, ...] = (
         "example-universal",
         "Cohomology of the dual cubic power of S and of the tangent bundle on the ambient Grassmannian.",
         "claim: each has a single group, in degree 0, of dimensions binom(d+4,3) and (d+2)^2-1",
+        _run_example_universal,
     ),
     CheckDef(
         "lemma-s",
         "Dimension identity for evaluating cubic forms along 2-planes.",
         "claim: h0 of the dual cubic power equals the number of cubic monomials in d+2 variables",
+        _run_lemma_s,
     ),
     CheckDef(
         "plethysm-eq4",
         "Closed-form exterior powers of the cubic power of a rank-2 bundle, with a character-oracle cross-check.",
         "claim: wedge2 = (5,1)+(3,3), wedge3 = (6,3), wedge4 = (6,6)",
+        _run_plethysm,
     ),
     CheckDef(
         "decompositions",
         "The eight tensor decompositions feeding the vanishing table, compared up to determinant twist.",
         "claim: all eight displayed right-hand sides are correct modulo det V",
+        _run_decompositions,
     ),
     CheckDef(
         "lemma-cohomology",
         "Acyclicity table for the Koszul-term classes; at d=5, the two exceptional groups and the wedge-level protocol.",
         "claim: everything acyclic for d >= 6; at d = 5 exactly two 7-dimensional groups, in degrees 4 and 5",
+        _run_lemma_cohomology,
         min_d=5,
     ),
     CheckDef(
         "prop-cubic",
         "Hypersurface-side package: twisted ideal sections, tangent restriction isomorphism, deformation count.",
         "claim: h0(I(3)) = 1, h1 = 0; tangent fields restrict isomorphically; h1 of the tangent sheaf is binom(d+2,3)",
+        _run_prop_cubic,
     ),
     CheckDef(
         "prop-fano",
         "Line-scheme-side package: normal-class sections drop by one, tangent restriction isomorphism, deformation count.",
         "claim: restriction of normal-class sections is onto with a 1-dimensional kernel; h1 of the tangent sheaf is binom(d+2,3)",
+        _run_prop_fano,
         min_d=5,
     ),
     CheckDef(
         "theorem-moduli",
         "The two first-order deformation counts agree.",
         "claim: h1 of both tangent sheaves equals binom(d+2,3)",
+        _run_theorem_moduli,
         min_d=5,
     ),
     CheckDef(
         "remark-d34",
         "First pages and verdicts at d = 3, 4; entries may interact, nothing is asserted.",
         "informational: low-d behavior differs; evidence only",
+        _run_remark_d34,
         only_d=(3, 4),
         informational=True,
     ),
@@ -454,23 +465,10 @@ CATALOG: tuple[CheckDef, ...] = (
         "oracles",
         "Dual-route property suites: tableau counts vs product formula, LR vs polynomial products, rank-2 characters, Serre symmetry, Euler consistency.",
         "derived: every suite must come back clean",
+        _run_oracles,
         d_independent=True,
     ),
 )
-
-_RUNNERS = {
-    "example-universal": _run_example_universal,
-    "lemma-s": _run_lemma_s,
-    "plethysm-eq4": _run_plethysm,
-    "decompositions": _run_decompositions,
-    "lemma-cohomology": _run_lemma_cohomology,
-    "prop-cubic": _run_prop_cubic,
-    "prop-fano": _run_prop_fano,
-    "theorem-moduli": _run_theorem_moduli,
-    "remark-d34": _run_remark_d34,
-    "oracles": _run_oracles,
-}
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -576,9 +574,8 @@ def _execute(cdef: CheckDef, d: int | None) -> CheckResult:
             axioms=(),
             notes=f"skipped: applies for {cdef.applicability}",
         )
-    runner = _RUNNERS[cdef.check_id]
     status, computed, expected, notes, axiom_names = (
-        runner() if d is None else runner(d)
+        cdef.run() if d is None else cdef.run(d)
     )
     axioms = tuple(AXIOMS[name].to_dict() for name in dict.fromkeys(axiom_names))
     return CheckResult(

@@ -282,21 +282,21 @@ class DecompositionComparison:
         return self.shift is not None
 
 
-def _claimed_lines(d: int) -> list[tuple[str, Weight, list[Weight]]]:
-    # (line id, quotient weight, subbundle weights with multiplicity)
+def _claimed_lines(d: int) -> list[tuple[int, str, Weight, list[Weight]]]:
+    # (wedge level, factor, quotient weight, subbundle weights with multiplicity)
     hook = (2,) + (1,) * (d - 1)
     one = (1,) + (0,) * (d - 1)
     threes = (3,) * d
     zeros = (0,) * d
     return [
-        ("wedge1_tangent", hook, [(4, 0), (3, 1)]),
-        ("wedge2_tangent", one, [(5, 0), (4, 1), (3, 2)]),
-        ("wedge3_tangent", one, [(6, 2), (5, 3)]),
-        ("wedge4_tangent", one, [(6, 5)]),
-        ("wedge1_sym3dual", threes, [(6, 0), (5, 1), (4, 2), (3, 3)]),
-        ("wedge2_sym3dual", threes, [(8, 1), (7, 2), (6, 3), (6, 3), (5, 4)]),
-        ("wedge3_sym3dual", zeros, [(6, 0), (5, 1), (4, 2), (3, 3)]),
-        ("wedge4_sym3dual", zeros, [(6, 3)]),
+        (1, "tangent", hook, [(4, 0), (3, 1)]),
+        (2, "tangent", one, [(5, 0), (4, 1), (3, 2)]),
+        (3, "tangent", one, [(6, 2), (5, 3)]),
+        (4, "tangent", one, [(6, 5)]),
+        (1, "sym3dual", threes, [(6, 0), (5, 1), (4, 2), (3, 3)]),
+        (2, "sym3dual", threes, [(8, 1), (7, 2), (6, 3), (6, 3), (5, 4)]),
+        (3, "sym3dual", zeros, [(6, 0), (5, 1), (4, 2), (3, 3)]),
+        (4, "sym3dual", zeros, [(6, 3)]),
     ]
 
 
@@ -317,17 +317,15 @@ def verify_claimed_decompositions(d: int) -> list[DecompositionComparison]:
         "sym3dual": named_class(ctx, "sym_cube_dual"),
     }
     out = []
-    for line_id, q_weight, s_weights in _claimed_lines(d):
-        level = int(line_id[5])
-        factor = factors[line_id.split("_", 1)[1]]
-        computed = wedge_class(sym3, level).tensor(factor)
+    for level, factor, q_weight, s_weights in _claimed_lines(d):
+        computed = wedge_class(sym3, level).tensor(factors[factor])
         claimed_counter: Counter[Bundle] = Counter(
             Bundle(q_weight, mu) for mu in s_weights
         )
         claimed = EquivariantClass(ctx, claimed_counter)
         out.append(
             DecompositionComparison(
-                line_id, computed, claimed, det_shift(computed, claimed)
+                f"wedge{level}_{factor}", computed, claimed, det_shift(computed, claimed)
             )
         )
     return out

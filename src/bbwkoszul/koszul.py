@@ -39,6 +39,11 @@ class UnderdeterminedError(RuntimeError):
     """A requested number depends on a spectral-sequence verdict that is only a range."""
 
 
+def _wedge_level(variant: str, p: int) -> int:
+    """The exterior power of the resolution that sits in column p of a page."""
+    return 1 - p if variant == IDEAL_SHEAF else -p
+
+
 @dataclass(frozen=True)
 class KoszulPage:
     """First page of one Koszul hypercohomology spectral sequence.
@@ -53,7 +58,7 @@ class KoszulPage:
     ctx: Grassmannian
     variant: str
     coefficient: EquivariantClass
-    columns: dict[int, CohomologyProfile] = field(compare=False)
+    columns: Mapping[int, CohomologyProfile] = field(compare=False)
 
     @property
     def p_min(self) -> int:
@@ -64,7 +69,7 @@ class KoszulPage:
         return self.ctx.dimension
 
     def wedge_level(self, p: int) -> int:
-        return 1 - p if self.variant == IDEAL_SHEAF else -p
+        return _wedge_level(self.variant, p)
 
     def entry_dimension(self, p: int, q: int) -> int:
         col = self.columns.get(p)
@@ -108,11 +113,11 @@ def build_page(
         ps = range(-resolution_rank + 1, 1)
     else:
         ps = range(-resolution_rank, 1)
-    columns = {}
-    for p in ps:
-        level = 1 - p if variant == IDEAL_SHEAF else -p
-        columns[p] = wedge_class(sym3, level).tensor(coefficient).cohomology()
-    return KoszulPage(ctx=ctx, variant=variant, coefficient=coefficient, columns=columns)
+    columns = {
+        p: wedge_class(sym3, _wedge_level(variant, p)).tensor(coefficient).cohomology()
+        for p in ps
+    }
+    return KoszulPage(ctx, variant, coefficient, MappingProxyType(columns))
 
 
 BlockingPair = tuple[tuple[int, int], tuple[int, int], int]
@@ -125,7 +130,6 @@ class DegreeVerdict:
     total_degree: int
     determined: bool
     dimension: int | None
-    profile: tuple[tuple[Weight, int], ...] | None
     upper_bound: int
     blocking: tuple[BlockingPair, ...] = ()
 
@@ -160,7 +164,7 @@ def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
 
     A degree is determined exactly when every contributing entry is
     differential-isolated; its dimension is then the plain sum of the
-    entry dimensions, and its profile the union of their constituents.
+    entry dimensions.
     """
     verdicts: dict[int, DegreeVerdict] = {}
     for m in range(page.p_min, page.q_max + 1):
@@ -174,16 +178,9 @@ def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
         for p, q in contributing:
             blocking.extend(_entry_blocking(page, p, q))
         if blocking:
-            verdicts[m] = DegreeVerdict(m, False, None, None, upper, tuple(blocking))
+            verdicts[m] = DegreeVerdict(m, False, None, upper, tuple(blocking))
         else:
-            merged = CohomologyProfile(page.ctx.n)
-            for p, q in contributing:
-                weights = page.columns[p].weights(q)
-                merged = merged.merged(
-                    CohomologyProfile(page.ctx.n, {0: dict(weights)})
-                )
-            profile = tuple(sorted(merged.weights(0).items()))
-            verdicts[m] = DegreeVerdict(m, True, upper, profile, upper)
+            verdicts[m] = DegreeVerdict(m, True, upper, upper)
     return verdicts
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import bbwkoszul
@@ -101,7 +102,11 @@ def test_failure_exit_code(capsys, monkeypatch):
     def broken_runner(d):
         return "fail", {"h0": -1}, {"h0": 0}, "forced failure", ()
 
-    monkeypatch.setitem(checks._RUNNERS, "lemma-s", broken_runner)
+    catalog = tuple(
+        replace(c, run=broken_runner) if c.check_id == "lemma-s" else c
+        for c in checks.CATALOG
+    )
+    monkeypatch.setattr(checks, "CATALOG", catalog)
     code, out, _ = run_cli(capsys, "--d-min", "6", "--d-max", "6", "--check", "lemma-s")
     assert code == 1
     assert "fail" in out

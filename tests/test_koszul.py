@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from bbwkoszul import koszul
@@ -206,6 +208,41 @@ class TestMemo:
         coefficient = named_class(ctx, "tangent")
         restricted_cohomology(ctx, coefficient).clear()
         assert restricted_cohomology(ctx, coefficient)[0].exact == 48
+
+    def test_cached_page_columns_are_read_only(self):
+        ctx = plane(5)
+        page = koszul_analysis(ctx, named_class(ctx, "sym_cube_dual")).page
+        with pytest.raises(TypeError):
+            page.columns[0] = None
+        with pytest.raises(TypeError):
+            del page.columns[0]
+        again = koszul_analysis(ctx, named_class(ctx, "sym_cube_dual")).page
+        assert again.nonzero_entries() == [(-2, 5, 7), (0, 0, 1)]
+
+    def test_vanishing_table_reads_the_memoised_pages(self, monkeypatch):
+        # lemma-cohomology shares prop-fano's pages and builds no tensor of its
+        # own; the two runs visit the same keys in a different order
+        pages, tensors = [], []
+        original_page, original_tensor = koszul.build_page, EquivariantClass.tensor
+
+        def counting_page(*args):
+            pages.append(args)
+            return original_page(*args)
+
+        def counting_tensor(self, other):
+            tensors.append((self, other))
+            return original_tensor(self, other)
+
+        monkeypatch.setattr(koszul, "build_page", counting_page)
+        monkeypatch.setattr(EquivariantClass, "tensor", counting_tensor)
+        counts = []
+        for check_ids in (["prop-fano"], ["prop-fano", "lemma-cohomology"]):
+            koszul_analysis.cache_clear()
+            pages.clear()
+            tensors.clear()
+            run_checks(6, 7, check_ids)
+            counts.append((Counter(pages), Counter(tensors)))
+        assert counts[1] == counts[0]
 
     def test_equal_classes_hash_equal(self):
         ctx = plane(5)
