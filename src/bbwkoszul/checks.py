@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from math import comb
@@ -19,21 +18,18 @@ from typing import Callable
 
 from ._version import __version__
 from .bbw import Bundle, Grassmannian
-from .classes import (
-    EquivariantClass,
-    named_class,
-    verify_claimed_decompositions,
-    wedge_class,
-)
+from .classes import EquivariantClass, named_class, wedge_class
 from .gl2 import wedge_power_gl2
 from .koszul import (
     AXIOMS,
     DimValue,
     deformation_numbers,
     euler_consistency,
+    factor_pages,
     ideal_sheaf_cohomology,
     koszul_analysis,
     restricted_cohomology,
+    verify_claimed_decompositions,
 )
 from .oracles import (
     character_of_combination,
@@ -187,8 +183,7 @@ def _lemma_profiles(d: int):
     """
     ctx = _plane(d)
     profiles = {}
-    for label, name in (("tangent", "tangent"), ("sym3dual", "sym_cube_dual")):
-        page = koszul_analysis(ctx, named_class(ctx, name)).page
+    for label, page in factor_pages(ctx).items():
         for p in sorted(page.columns, key=page.wedge_level):
             profiles[label, page.wedge_level(p)] = page.columns[p]
     pairing = profiles.pop(("sym3dual", 1))
@@ -500,7 +495,6 @@ class Report:
     d_min: int
     d_max: int
     checks: tuple[str, ...]
-    jobs: int
     results: tuple[CheckResult, ...]
 
     @property
@@ -525,7 +519,8 @@ class Report:
             "d_min": self.d_min,
             "d_max": self.d_max,
             "checks": list(self.checks),
-            "jobs": self.jobs,
+            # checks run one at a time; the field stays in the report schema
+            "jobs": 1,
         }
         if timestamp is not None:
             params["timestamp"] = timestamp
@@ -590,12 +585,7 @@ def _execute(cdef: CheckDef, d: int | None) -> CheckResult:
     )
 
 
-def run_checks(
-    d_min: int = 3,
-    d_max: int = 12,
-    check_ids=None,
-    jobs: int = 1,
-) -> Report:
+def run_checks(d_min: int = 3, d_max: int = 12, check_ids=None) -> Report:
     """Run the selected checks over d_min..d_max and assemble a report.
 
     Checks whose hypotheses exclude a d produce a skipped row for it; the
@@ -603,8 +593,6 @@ def run_checks(
     """
     if not 3 <= d_min <= d_max:
         raise UsageError(f"need 3 <= d_min <= d_max, got {d_min}..{d_max}")
-    if jobs < 1:
-        raise UsageError("jobs must be at least 1")
     defs = _resolve(check_ids)
     # d-major, so that the checks of one d reuse its Koszul analyses while
     # they are still memoised; the results are sorted below
@@ -613,11 +601,7 @@ def run_checks(
     ]
     for d in range(d_min, d_max + 1):
         tasks.extend((cdef, d) for cdef in defs if not cdef.d_independent)
-    if jobs == 1:
-        results = [_execute(cdef, d) for cdef, d in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: _execute(*t), tasks))
+    results = [_execute(cdef, d) for cdef, d in tasks]
     order = {c.check_id: i for i, c in enumerate(CATALOG)}
     results.sort(key=lambda r: (order[r.check], r.d if r.d is not None else -1))
     return Report(
@@ -625,6 +609,5 @@ def run_checks(
         d_min=d_min,
         d_max=d_max,
         checks=tuple(c.check_id for c in defs),
-        jobs=jobs,
         results=tuple(results),
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .bbw import (
     Bundle,
@@ -266,66 +265,3 @@ def serre_check(ctx: Grassmannian, bundle: Bundle) -> bool:
     return all(
         direct.dimension(q) == mirrored.dimension(top - q) for q in range(top + 1)
     )
-
-
-@dataclass(frozen=True)
-class DecompositionComparison:
-    """Outcome of re-deriving one displayed tensor decomposition."""
-
-    line_id: str
-    computed: EquivariantClass
-    claimed: EquivariantClass
-    shift: int | None
-
-    @property
-    def matches(self) -> bool:
-        return self.shift is not None
-
-
-def _claimed_lines(d: int) -> list[tuple[int, str, Weight, list[Weight]]]:
-    # (wedge level, factor, quotient weight, subbundle weights with multiplicity)
-    hook = (2,) + (1,) * (d - 1)
-    one = (1,) + (0,) * (d - 1)
-    threes = (3,) * d
-    zeros = (0,) * d
-    return [
-        (1, "tangent", hook, [(4, 0), (3, 1)]),
-        (2, "tangent", one, [(5, 0), (4, 1), (3, 2)]),
-        (3, "tangent", one, [(6, 2), (5, 3)]),
-        (4, "tangent", one, [(6, 5)]),
-        (1, "sym3dual", threes, [(6, 0), (5, 1), (4, 2), (3, 3)]),
-        (2, "sym3dual", threes, [(8, 1), (7, 2), (6, 3), (6, 3), (5, 4)]),
-        (3, "sym3dual", zeros, [(6, 0), (5, 1), (4, 2), (3, 3)]),
-        (4, "sym3dual", zeros, [(6, 3)]),
-    ]
-
-
-def verify_claimed_decompositions(d: int) -> list[DecompositionComparison]:
-    """Recompute the eight displayed tensor decompositions and compare mod det.
-
-    Each left-hand side (an exterior power of the cubic symmetric power of
-    S, tensored with the tangent bundle or with the dual cubic power) is
-    rebuilt from scratch; the right-hand side is the hard-coded displayed
-    class. Comparison allows one uniform determinant twist per line.
-    """
-    if d < 3:
-        raise ValueError("need d >= 3")
-    ctx = Grassmannian(2, d + 2)
-    sym3 = named_class(ctx, "sym_cube")
-    factors = {
-        "tangent": named_class(ctx, "tangent"),
-        "sym3dual": named_class(ctx, "sym_cube_dual"),
-    }
-    out = []
-    for level, factor, q_weight, s_weights in _claimed_lines(d):
-        computed = wedge_class(sym3, level).tensor(factors[factor])
-        claimed_counter: Counter[Bundle] = Counter(
-            Bundle(q_weight, mu) for mu in s_weights
-        )
-        claimed = EquivariantClass(ctx, claimed_counter)
-        out.append(
-            DecompositionComparison(
-                f"wedge{level}_{factor}", computed, claimed, det_shift(computed, claimed)
-            )
-        )
-    return out

@@ -2,7 +2,7 @@
 
 Usage:
     verify [--d-min N] [--d-max N] [--check ID]... [--format json|text]
-           [--strict-paper] [--no-timestamp] [--jobs N]
+           [--strict-paper] [--no-timestamp]
     verify list-checks
 
 Exit codes: 0 success, 1 at least one failed check, 2 usage error,
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit the timestamp for byte-reproducible reports",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent workers")
     return parser
 
 
@@ -108,12 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        report = run_checks(
-            d_min=args.d_min,
-            d_max=args.d_max,
-            check_ids=args.checks,
-            jobs=args.jobs,
-        )
+        report = run_checks(d_min=args.d_min, d_max=args.d_max, check_ids=args.checks)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

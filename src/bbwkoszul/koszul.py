@@ -5,7 +5,9 @@ section whose zero locus Z (the lines on a cubic hypersurface) is cut out
 regularly; the exterior powers of the dual of that bundle resolve the
 ideal sheaf of Z and, one step longer, its structure sheaf. Tensoring the
 resolution with a coefficient class F and taking cohomology gives a first
-page E1 whose columns this module computes exactly.
+page E1 whose columns this module computes exactly. The page keeps the
+tensored terms too, and the displayed decompositions of the terms are
+checked against them.
 
 Degeneration is never assumed. An entry survives to the abutment when it
 is differential-isolated: every slot a differential could connect it to,
@@ -22,13 +24,14 @@ every number assembled with their help names them.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .bbw import CohomologyProfile, Grassmannian
-from .classes import EquivariantClass, named_class, wedge_class
+from .bbw import Bundle, CohomologyProfile, Grassmannian
+from .classes import EquivariantClass, det_shift, named_class, wedge_class
 from .weights import Weight
 
 IDEAL_SHEAF = "ideal-sheaf"
@@ -48,16 +51,17 @@ def _wedge_level(variant: str, p: int) -> int:
 class KoszulPage:
     """First page of one Koszul hypercohomology spectral sequence.
 
-    ``columns[p]`` is the full cohomology profile of the p-th resolution
-    term tensored with the coefficient class; the (p, q) entry is its
-    degree-q slice. Ideal-sheaf pages use exterior powers 1..r of the
-    cubic symmetric power of S (p = 1-level), restriction pages 0..r
-    (p = -level).
+    ``terms[p]`` is the p-th resolution term tensored with the coefficient
+    class and ``columns[p]`` its full cohomology profile; the (p, q) entry
+    is the degree-q slice of the column. Ideal-sheaf pages use exterior
+    powers 1..r of the cubic symmetric power of S (p = 1-level),
+    restriction pages 0..r (p = -level).
     """
 
     ctx: Grassmannian
     variant: str
     coefficient: EquivariantClass
+    terms: Mapping[int, EquivariantClass] = field(compare=False)
     columns: Mapping[int, CohomologyProfile] = field(compare=False)
 
     @property
@@ -70,10 +74,6 @@ class KoszulPage:
 
     def wedge_level(self, p: int) -> int:
         return _wedge_level(self.variant, p)
-
-    def entry_dimension(self, p: int, q: int) -> int:
-        col = self.columns.get(p)
-        return col.dimension(q) if col is not None else 0
 
     def entry_constituents(self, p: int, q: int) -> frozenset[Weight]:
         col = self.columns.get(p)
@@ -95,7 +95,8 @@ class KoszulPage:
 
     def euler_characteristic(self) -> int:
         return sum(
-            (-1) ** p * col.euler_characteristic() for p, col in self.columns.items()
+            (-1 if p % 2 else 1) * col.euler_characteristic()
+            for p, col in self.columns.items()
         )
 
 
@@ -113,11 +114,11 @@ def build_page(
         ps = range(-resolution_rank + 1, 1)
     else:
         ps = range(-resolution_rank, 1)
-    columns = {
-        p: wedge_class(sym3, _wedge_level(variant, p)).tensor(coefficient).cohomology()
-        for p in ps
-    }
-    return KoszulPage(ctx, variant, coefficient, MappingProxyType(columns))
+    terms = {p: wedge_class(sym3, _wedge_level(variant, p)).tensor(coefficient) for p in ps}
+    columns = {p: term.cohomology() for p, term in terms.items()}
+    return KoszulPage(
+        ctx, variant, coefficient, MappingProxyType(terms), MappingProxyType(columns)
+    )
 
 
 BlockingPair = tuple[tuple[int, int], tuple[int, int], int]
@@ -166,17 +167,14 @@ def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
     differential-isolated; its dimension is then the plain sum of the
     entry dimensions.
     """
+    by_degree: dict[int, list[tuple[int, int, int]]] = {}
+    for p, q, dim in page.nonzero_entries():
+        by_degree.setdefault(p + q, []).append((p, q, dim))
     verdicts: dict[int, DegreeVerdict] = {}
     for m in range(page.p_min, page.q_max + 1):
-        contributing = [
-            (p, m - p)
-            for p in sorted(page.columns)
-            if 0 <= m - p <= page.q_max and page.entry_dimension(p, m - p)
-        ]
-        upper = sum(page.entry_dimension(p, q) for p, q in contributing)
-        blocking: list[BlockingPair] = []
-        for p, q in contributing:
-            blocking.extend(_entry_blocking(page, p, q))
+        entries = by_degree.get(m, ())
+        upper = sum(dim for _, _, dim in entries)
+        blocking = [pair for p, q, _ in entries for pair in _entry_blocking(page, p, q)]
         if blocking:
             verdicts[m] = DegreeVerdict(m, False, None, upper, tuple(blocking))
         else:
@@ -427,3 +425,76 @@ def euler_consistency(ctx: Grassmannian, coefficient: EquivariantClass) -> bool:
     return chi_page == (
         coefficient.euler_characteristic() - analysis.page.euler_characteristic()
     )
+
+
+def factor_pages(ctx: Grassmannian) -> dict[str, KoszulPage]:
+    """The memoised ideal-sheaf pages of the tangent bundle and the dual cubic power.
+
+    Keyed by the labels the displayed decompositions use, "tangent" and
+    "sym3dual"; their terms are the classes of the vanishing table.
+    """
+    return {
+        label: koszul_analysis(ctx, named_class(ctx, name)).page
+        for label, name in (("tangent", "tangent"), ("sym3dual", "sym_cube_dual"))
+    }
+
+
+@dataclass(frozen=True)
+class DecompositionComparison:
+    """Outcome of re-deriving one displayed tensor decomposition."""
+
+    line_id: str
+    computed: EquivariantClass
+    claimed: EquivariantClass
+    shift: int | None
+
+    @property
+    def matches(self) -> bool:
+        return self.shift is not None
+
+
+def _claimed_lines(d: int) -> list[tuple[int, str, Weight, list[Weight]]]:
+    # (wedge level, factor, quotient weight, subbundle weights with multiplicity)
+    hook = (2,) + (1,) * (d - 1)
+    one = (1,) + (0,) * (d - 1)
+    threes = (3,) * d
+    zeros = (0,) * d
+    return [
+        (1, "tangent", hook, [(4, 0), (3, 1)]),
+        (2, "tangent", one, [(5, 0), (4, 1), (3, 2)]),
+        (3, "tangent", one, [(6, 2), (5, 3)]),
+        (4, "tangent", one, [(6, 5)]),
+        (1, "sym3dual", threes, [(6, 0), (5, 1), (4, 2), (3, 3)]),
+        (2, "sym3dual", threes, [(8, 1), (7, 2), (6, 3), (6, 3), (5, 4)]),
+        (3, "sym3dual", zeros, [(6, 0), (5, 1), (4, 2), (3, 3)]),
+        (4, "sym3dual", zeros, [(6, 3)]),
+    ]
+
+
+def verify_claimed_decompositions(d: int) -> list[DecompositionComparison]:
+    """Compare the eight displayed decompositions with the Koszul terms, mod det.
+
+    Each left-hand side (an exterior power of the cubic symmetric power of
+    S, tensored with the tangent bundle or with the dual cubic power) is
+    the term of that level on the memoised ideal-sheaf page of the factor;
+    the right-hand side is the hard-coded displayed class. Comparison
+    allows one uniform determinant twist per line.
+    """
+    if d < 3:
+        raise ValueError("need d >= 3")
+    ctx = Grassmannian(2, d + 2)
+    terms = {
+        (factor, page.wedge_level(p)): term
+        for factor, page in factor_pages(ctx).items()
+        for p, term in page.terms.items()
+    }
+    out = []
+    for level, factor, q_weight, s_weights in _claimed_lines(d):
+        computed = terms[factor, level]
+        claimed = EquivariantClass(ctx, Counter(Bundle(q_weight, mu) for mu in s_weights))
+        out.append(
+            DecompositionComparison(
+                f"wedge{level}_{factor}", computed, claimed, det_shift(computed, claimed)
+            )
+        )
+    return out

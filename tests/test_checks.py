@@ -93,13 +93,6 @@ class TestRunChecks:
         b = run_checks(5, 6, ["prop-fano", "decompositions"])
         assert a.to_dict() == b.to_dict()
 
-    def test_jobs_equivalent(self):
-        sequential = run_checks(5, 6, ["theorem-moduli"], jobs=1)
-        threaded = run_checks(5, 6, ["theorem-moduli"], jobs=4)
-        assert [r.to_dict() for r in sequential.results] == [
-            r.to_dict() for r in threaded.results
-        ]
-
     def test_usage_errors(self):
         with pytest.raises(UsageError):
             run_checks(2, 5)
@@ -107,8 +100,6 @@ class TestRunChecks:
             run_checks(5, 4)
         with pytest.raises(UsageError):
             run_checks(3, 5, ["no-such-check"])
-        with pytest.raises(UsageError):
-            run_checks(3, 5, jobs=0)
 
 
 class TestCatalog:
@@ -156,7 +147,6 @@ def test_exit_code_on_failure():
         d_min=6,
         d_max=6,
         checks=("lemma-s",),
-        jobs=1,
         results=(failing,),
     )
     assert report.exit_code() == 1

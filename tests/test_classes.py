@@ -7,10 +7,10 @@ from bbwkoszul.classes import (
     det_shift,
     equal_mod_det,
     named_class,
-    verify_claimed_decompositions,
     wedge_class,
 )
 from bbwkoszul.gl2 import gl2_tensor
+from bbwkoszul.koszul import verify_claimed_decompositions
 
 GR27 = Grassmannian(2, 7)
 P6 = Grassmannian.projective_space(7)

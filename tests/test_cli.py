@@ -67,8 +67,9 @@ def test_usage_error_unknown_check(capsys):
 
 
 def test_usage_error_bad_flag(capsys):
-    code, _, _ = run_cli(capsys, "--frobnicate")
-    assert code == 2
+    for argv in (("--frobnicate",), ("--jobs", "2")):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 2
 
 
 def test_json_report_reproducible(capsys):

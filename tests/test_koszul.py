@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bbwkoszul import koszul
 from bbwkoszul.bbw import Bundle, Grassmannian
@@ -10,6 +11,7 @@ from bbwkoszul.koszul import (
     AXIOMS,
     IDEAL_SHEAF,
     RESTRICTION,
+    DegreeVerdict,
     DimValue,
     analyze,
     build_page,
@@ -97,6 +99,55 @@ class TestAnalyze:
         ctx = plane(7)
         verdicts = analyze(build_page(ctx, IDEAL_SHEAF, named_class(ctx, "tangent")))
         assert all(v.determined and v.dimension == 0 for v in verdicts.values())
+
+    @given(st.data())
+    def test_random_coefficients_match_a_dense_scan(self, data):
+        n = data.draw(st.integers(5, 8))
+
+        def weight(size):
+            entries = st.lists(st.integers(-4, 4), min_size=size, max_size=size)
+            return entries.map(lambda w: tuple(sorted(w, reverse=True)))
+
+        ctx = Grassmannian(2, n)
+        coefficient = EquivariantClass.irreducible(
+            ctx, data.draw(weight(n - 2)), data.draw(weight(2))
+        )
+        page = build_page(ctx, IDEAL_SHEAF, coefficient)
+        verdicts = analyze(page)
+        assert verdicts == dense_verdicts(page)
+        assert sum(v.upper_bound for v in verdicts.values()) == sum(
+            dim for _, _, dim in page.nonzero_entries()
+        )
+
+    def test_blocked_page_matches_a_dense_scan(self):
+        # both columns hold H^0 of O, so the r = 1 differential may hit it
+        ctx = line(2)
+        coefficient = named_class(ctx, "trivial") + named_class(ctx, "O(3)")
+        page = build_page(ctx, RESTRICTION, coefficient)
+        verdicts = analyze(page)
+        assert not verdicts[0].determined
+        assert verdicts == dense_verdicts(page)
+
+
+def dense_verdicts(page):
+    """Reference for analyze: visit every (total degree m, column p) slot."""
+
+    def entry_dimension(p, q):
+        return page.columns[p].dimension(q) if p in page.columns else 0
+
+    out = {}
+    for m in range(page.p_min, page.q_max + 1):
+        contributing = [
+            (p, m - p)
+            for p in sorted(page.columns)
+            if 0 <= m - p <= page.q_max and entry_dimension(p, m - p)
+        ]
+        upper = sum(entry_dimension(p, q) for p, q in contributing)
+        blocking = tuple(
+            pair for p, q in contributing for pair in koszul._entry_blocking(page, p, q)
+        )
+        out[m] = DegreeVerdict(m, not blocking, None if blocking else upper, upper, blocking)
+    return out
 
 
 class TestRestricted:
@@ -187,6 +238,14 @@ class TestEulerConsistency:
         assert euler_consistency(ctx, named_class(ctx, "tangent"))
         assert euler_consistency(ctx, named_class(ctx, "sym_cube_dual"))
 
+    def test_page_euler_characteristic_is_an_int(self):
+        # a float sign would round once the dimensions pass 2**53
+        for d in (5, 12):
+            ctx = plane(d)
+            for variant in (IDEAL_SHEAF, RESTRICTION):
+                page = build_page(ctx, variant, named_class(ctx, "sym_cube_dual"))
+                assert type(page.euler_characteristic()) is int
+
 
 class TestMemo:
     def test_each_key_built_once_per_report(self, monkeypatch):
@@ -212,16 +271,17 @@ class TestMemo:
     def test_cached_page_columns_are_read_only(self):
         ctx = plane(5)
         page = koszul_analysis(ctx, named_class(ctx, "sym_cube_dual")).page
-        with pytest.raises(TypeError):
-            page.columns[0] = None
-        with pytest.raises(TypeError):
-            del page.columns[0]
+        for mapping in (page.terms, page.columns):
+            with pytest.raises(TypeError):
+                mapping[0] = None
+            with pytest.raises(TypeError):
+                del mapping[0]
         again = koszul_analysis(ctx, named_class(ctx, "sym_cube_dual")).page
         assert again.nonzero_entries() == [(-2, 5, 7), (0, 0, 1)]
 
     def test_vanishing_table_reads_the_memoised_pages(self, monkeypatch):
-        # lemma-cohomology shares prop-fano's pages and builds no tensor of its
-        # own; the two runs visit the same keys in a different order
+        # lemma-cohomology and decompositions share prop-fano's pages and build
+        # no tensor of their own; the runs visit the same keys in a different order
         pages, tensors = [], []
         original_page, original_tensor = koszul.build_page, EquivariantClass.tensor
 
@@ -236,13 +296,18 @@ class TestMemo:
         monkeypatch.setattr(koszul, "build_page", counting_page)
         monkeypatch.setattr(EquivariantClass, "tensor", counting_tensor)
         counts = []
-        for check_ids in (["prop-fano"], ["prop-fano", "lemma-cohomology"]):
+        for check_ids in (
+            ["prop-fano"],
+            ["prop-fano", "lemma-cohomology"],
+            ["prop-fano", "lemma-cohomology", "decompositions"],
+        ):
             koszul_analysis.cache_clear()
             pages.clear()
             tensors.clear()
             run_checks(6, 7, check_ids)
             counts.append((Counter(pages), Counter(tensors)))
         assert counts[1] == counts[0]
+        assert counts[2] == counts[0]
 
     def test_equal_classes_hash_equal(self):
         ctx = plane(5)
