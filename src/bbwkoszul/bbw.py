@@ -95,6 +95,7 @@ class CohomologyProfile:
 
     Only nonzero groups are stored. Dimensions are derived, never stored:
     each weight contributes its Weyl dimension times its multiplicity.
+    Every weight must be a dominant weight of GL(n).
     """
 
     __slots__ = ("n", "_groups")
@@ -105,10 +106,13 @@ class CohomologyProfile:
         for q, ws in (groups or {}).items():
             c = Counter()
             for w, m in ws.items():
+                w = tuple(w)
+                if len(w) != n or not is_dominant(w):
+                    raise ValueError(f"{w} is not a dominant weight of GL({n})")
                 if m < 0:
                     raise ValueError("negative multiplicity")
                 if m:
-                    c[tuple(w)] += m
+                    c[w] += m
             if c:
                 store[q] = c
         self._groups = store
@@ -131,31 +135,8 @@ class CohomologyProfile:
             m * weyl_dimension(w, self.n) for w, m in self._groups.get(q, {}).items()
         )
 
-    def total_dimension(self) -> int:
-        return sum(self.dimension(q) for q in self._groups)
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * self.dimension(q) for q in self._groups)
-
-    def merged(self, other: "CohomologyProfile", mult: int = 1) -> "CohomologyProfile":
-        if other.n != self.n:
-            raise ValueError("profiles live on different spaces")
-        groups: dict[int, dict[Weight, int]] = {
-            q: dict(c) for q, c in self._groups.items()
-        }
-        for q, c in other._groups.items():
-            tgt = groups.setdefault(q, {})
-            for w, m in c.items():
-                tgt[w] = tgt.get(w, 0) + mult * m
-        return CohomologyProfile(self.n, groups)
-
-    def to_dict(self) -> dict:
-        return {
-            str(q): sorted(
-                [list(w), m, weyl_dimension(w, self.n)] for w, m in c.items()
-            )
-            for q, c in sorted(self._groups.items())
-        }
 
     def __eq__(self, other: object) -> bool:
         return (

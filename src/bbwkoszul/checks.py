@@ -223,21 +223,24 @@ def _run_lemma_cohomology(d: int):
         },
         "h0_pairing": exp_pairing,
     }
+    tangent, normal = exp["tangent_side"], exp["normal_side"]
     tangent_levels = [level for label, level in hits if label == "tangent"]
     normal_levels = [level for label, level in hits if label == "sym3dual"]
     structure_ok = (
         pairing_ok
         and len(nonzero) == exp["extra_groups"]
-        and tangent_levels == [2]
-        and nonzero.get("wedge2_tangent") == {"4": 7}
+        and tangent_levels == [tangent["wedge"]]
+        and nonzero[f"wedge{tangent['wedge']}_tangent"]
+        == {str(tangent["degree"]): exp["group_dimension"]}
         and len(normal_levels) == 1
-        and nonzero[f"wedge{normal_levels[0]}_sym3dual"] == {"5": exp["group_dimension"]}
+        and nonzero[f"wedge{normal_levels[0]}_sym3dual"]
+        == {str(normal["degree"]): exp["group_dimension"]}
     )
     if not structure_ok:
         return FAIL, computed, exp, "", ()
     level_found = normal_levels[0]
     computed["normal_side_wedge_level"] = level_found
-    if level_found == exp["normal_side"]["wedge"]:
+    if level_found == normal["wedge"]:
         return PASS, computed, exp, "", ()
     # the placement differs from the claim; make sure the engine's own
     # cross-checks hold before reporting it as a finding
@@ -250,7 +253,7 @@ def _run_lemma_cohomology(d: int):
         return FAIL, computed, exp, "internal cross-checks failed", ()
     notes = (
         f"the degree-5 group sits on exterior power {level_found}, "
-        f"claimed placement is level {exp['normal_side']['wedge']}; "
+        f"claimed placement is level {normal['wedge']}; "
         "dimension, degree and all internal cross-checks agree"
     )
     return DISCREPANCY, computed, exp, notes, ()
@@ -499,11 +502,10 @@ class Report:
 
     @property
     def summary(self) -> dict[str, int]:
-        tally = {"pass": 0, "fail": 0, "undetermined": 0, "discrepancy": 0, "skipped": 0}
-        key = {PASS: "pass", FAIL: "fail", UNDETERMINED: "undetermined",
-               DISCREPANCY: "discrepancy", SKIPPED: "skipped"}
+        # keys in report order; every status but DISCREPANCY is its own key
+        tally = dict.fromkeys((PASS, FAIL, UNDETERMINED, "discrepancy", SKIPPED), 0)
         for r in self.results:
-            tally[key[r.status]] += 1
+            tally["discrepancy" if r.status == DISCREPANCY else r.status] += 1
         return tally
 
     def exit_code(self, strict_paper: bool = False) -> int:
@@ -559,19 +561,10 @@ def _resolve(check_ids) -> tuple[CheckDef, ...]:
 
 def _execute(cdef: CheckDef, d: int | None) -> CheckResult:
     if d is not None and not cdef.applies(d):
-        return CheckResult(
-            check=cdef.check_id,
-            d=d,
-            status=SKIPPED,
-            computed=None,
-            expected=None,
-            provenance=_provenance(cdef.check_id),
-            axioms=(),
-            notes=f"skipped: applies for {cdef.applicability}",
-        )
-    status, computed, expected, notes, axiom_names = (
-        cdef.run() if d is None else cdef.run(d)
-    )
+        outcome = (SKIPPED, None, None, f"skipped: applies for {cdef.applicability}", ())
+    else:
+        outcome = cdef.run() if d is None else cdef.run(d)
+    status, computed, expected, notes, axiom_names = outcome
     axioms = tuple(AXIOMS[name].to_dict() for name in dict.fromkeys(axiom_names))
     return CheckResult(
         check=cdef.check_id,

@@ -4,11 +4,11 @@ Tensor products run Littlewood-Richardson on both factors, the quotient
 side and the subbundle side alike: each weight gets its own determinant
 pre-shift onto a partition, and the product is truncated to the rank of
 its factor before the shifts are undone. Cohomology of a class is the
-multiplicity-weighted union over its summands.
+multiplicity-weighted union over its summands, gathered into one profile.
 
 Displayed decompositions in the source material trivialize det V; the
-engine never does. ``det_shift`` / ``equal_mod_det`` is the single point
-where classes are compared up to a uniform determinant twist.
+engine never does. ``det_shift`` is the single point where classes are
+compared up to a uniform determinant twist.
 """
 
 from __future__ import annotations
@@ -75,11 +75,6 @@ class EquivariantClass:
         total.update(other._summands)
         return EquivariantClass(self.ctx, total)
 
-    def dual(self) -> "EquivariantClass":
-        return EquivariantClass(
-            self.ctx, {b.dual(): m for b, m in self._summands.items()}
-        )
-
     def shifted(self, t: int) -> "EquivariantClass":
         return EquivariantClass(
             self.ctx, {b.shifted(t): m for b, m in self._summands.items()}
@@ -94,13 +89,15 @@ class EquivariantClass:
                     total[b] += m1 * m2 * m
         return EquivariantClass(self.ctx, total)
 
-    __mul__ = tensor
-
     def cohomology(self) -> CohomologyProfile:
-        profile = CohomologyProfile(self.ctx.n)
+        groups: dict[int, Counter[Weight]] = {}
         for b, m in self._summands.items():
-            profile = profile.merged(bbw_cohomology(self.ctx, b), m)
-        return profile
+            part = bbw_cohomology(self.ctx, b)
+            for q in part.degrees():
+                group = groups.setdefault(q, Counter())
+                for w, c in part.weights(q).items():
+                    group[w] += m * c
+        return CohomologyProfile(self.ctx.n, groups)
 
     def euler_characteristic(self) -> int:
         return self.cohomology().euler_characteristic()
@@ -244,10 +241,6 @@ def det_shift(a: EquivariantClass, b: EquivariantClass) -> int | None:
         if a.shifted(cand) == b:
             return cand
     return None
-
-
-def equal_mod_det(a: EquivariantClass, b: EquivariantClass) -> bool:
-    return det_shift(a, b) is not None
 
 
 def serre_check(ctx: Grassmannian, bundle: Bundle) -> bool:

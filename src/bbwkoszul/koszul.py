@@ -201,11 +201,6 @@ class DimValue:
     def of(cls, value: int) -> "DimValue":
         return cls(value, value)
 
-    def to_dict(self) -> dict:
-        if self.exact is not None:
-            return {"exact": self.exact}
-        return {"lower": self.lower, "upper": self.upper}
-
 
 # A context fixes d, and the checks of one d share four keys. run_checks
 # visits d-major, so four entries catch every reuse; more only hold memory.
@@ -347,16 +342,6 @@ class DeformationNumbers:
     h0_ambient_tangent_restricted: int
     h1_tangent: int
     axioms_used: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "side": self.side,
-            "h0_normal": self.h0_normal,
-            "h0_ambient_tangent_restricted": self.h0_ambient_tangent_restricted,
-            "h1_tangent": self.h1_tangent,
-            "axioms_used": list(self.axioms_used),
-        }
 
 
 def deformation_numbers(d: int, side: str) -> DeformationNumbers:

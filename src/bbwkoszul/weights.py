@@ -89,9 +89,7 @@ def weyl_dimension(weight: Iterable[int], n: int | None = None) -> int:
     return _weyl_product(w)
 
 
-def partitions_of(
-    n: int, max_parts: int | None = None, max_part: int | None = None
-) -> Iterator[Weight]:
+def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Weight]:
     """Yield the partitions of n as tuples, largest part first."""
     if n < 0:
         return
@@ -106,8 +104,7 @@ def partitions_of(
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    yield from rec(n, max_part if max_part is not None else n,
-                   max_parts if max_parts is not None else n)
+    yield from rec(n, n, max_parts if max_parts is not None else n)
 
 
 def _rows(length: int, floor: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:

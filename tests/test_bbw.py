@@ -170,13 +170,18 @@ class TestSerre:
 
 class TestProfiles:
     def test_merge_and_scale(self):
-        a = CohomologyProfile(7, {0: {(0,) * 7: 2}})
-        b = CohomologyProfile(7, {1: {(1,) + (0,) * 6: 1}})
-        merged = a.merged(b, 3)
-        assert merged.dimension(0) == 2
-        assert merged.dimension(1) == 21
-        assert merged.total_dimension() == 23
-        assert merged.euler_characteristic() == 2 - 21
+        # two degrees, with multiplicities, in one profile
+        prof = CohomologyProfile(7, {0: {(0,) * 7: 2}, 1: {(1,) + (0,) * 6: 3}})
+        assert prof.degrees() == [0, 1]
+        assert prof.dimension(0) == 2
+        assert prof.dimension(1) == 21
+        assert prof.euler_characteristic() == 2 - 21
+
+    def test_rejects_malformed_weights(self):
+        with pytest.raises(ValueError):
+            CohomologyProfile(7, {0: {(0, 1): 1}})  # wrong length
+        with pytest.raises(ValueError):
+            CohomologyProfile(2, {0: {(0, 1): 1}})  # not dominant
 
     def test_equality_and_empty(self):
         assert CohomologyProfile(7) == CohomologyProfile(7, {0: {}})

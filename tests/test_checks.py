@@ -1,5 +1,6 @@
 import pytest
 
+from bbwkoszul import checks
 from bbwkoszul.checks import (
     CATALOG,
     CheckResult,
@@ -54,6 +55,20 @@ class TestRunChecks:
         assert "exterior power 3" in row.notes
         assert report.exit_code() == 0
         assert report.exit_code(strict_paper=True) == 3
+
+    @pytest.mark.parametrize(
+        "field, wrong",
+        [
+            ("tangent_side_wedge_d5", "3"),
+            ("tangent_side_degree_d5", "3"),
+            ("normal_side_degree_d5", "4"),
+        ],
+    )
+    def test_d5_structure_follows_expected_values(self, monkeypatch, field, wrong):
+        key = ("lemma-cohomology", field)
+        monkeypatch.setitem(checks._EXPECTED, key, {**checks._EXPECTED[key], "value": wrong})
+        report = run_checks(5, 5, ["lemma-cohomology"])
+        assert only(report, "lemma-cohomology", 5).status == "fail"
 
     def test_skipped_rows(self):
         report = run_checks(3, 4, ["prop-fano"])

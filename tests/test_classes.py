@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +7,6 @@ from bbwkoszul.bbw import Bundle, Grassmannian
 from bbwkoszul.classes import (
     EquivariantClass,
     det_shift,
-    equal_mod_det,
     named_class,
     wedge_class,
 )
@@ -103,8 +104,12 @@ class TestTensor:
     def test_cohomology_additive(self):
         a = named_class(GR27, "tangent")
         b = named_class(GR27, "sym_cube_dual")
-        merged = (a + b).cohomology()
-        assert merged == a.cohomology().merged(b.cohomology())
+        total = (a + b + b).cohomology()
+        parts = (a.cohomology(), b.cohomology(), b.cohomology())
+        degrees = sorted({q for part in parts for q in part.degrees()})
+        assert total.degrees() == degrees
+        for q in degrees:
+            assert total.weights(q) == sum((part.weights(q) for part in parts), Counter())
         assert (a + b).euler_characteristic() == (
             a.euler_characteristic() + b.euler_characteristic()
         )
@@ -171,16 +176,15 @@ class TestDetShift:
         a = cls(GR27, (1, 0, 0, 0, 0), (3, -1))
         b = cls(GR27, (2, 1, 1, 1, 1), (4, 0))
         assert det_shift(a, b) == 1
-        assert equal_mod_det(a, b)
 
     def test_reflexive(self):
         a = named_class(GR27, "tangent")
         assert det_shift(a, a) == 0
 
     def test_distinct_shapes(self):
-        assert not equal_mod_det(
+        assert det_shift(
             named_class(GR27, "sym_cube"), named_class(GR27, "sym_cube_dual")
-        )
+        ) is None
 
     def test_empty_classes(self):
         assert det_shift(EquivariantClass.empty(GR27), EquivariantClass.empty(GR27)) == 0

@@ -331,7 +331,6 @@ class TestVanishingTable:
 def test_dim_value():
     assert DimValue.of(5).exact == 5
     assert DimValue(0, 3).exact is None
-    assert DimValue(0, 3).to_dict() == {"lower": 0, "upper": 3}
     with pytest.raises(ValueError):
         DimValue(4, 2)
 
