@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from math import comb
 from typing import Callable
@@ -79,8 +79,12 @@ def expected_value(check: str, field: str, d: int):
     return value
 
 
+def _rows(check: str) -> list[dict]:
+    return [row for (c, _), row in sorted(_EXPECTED.items()) if c == check]
+
+
 def _provenance(check: str) -> str:
-    rows = [row for (c, _), row in sorted(_EXPECTED.items()) if c == check]
+    rows = _rows(check)
     if not rows:
         return "derived: dual-route property suites"
     return "; ".join(
@@ -96,22 +100,17 @@ def _plane(d: int) -> Grassmannian:
     return Grassmannian(2, d + 2)
 
 
-def _line(d: int) -> Grassmannian:
-    return Grassmannian.projective_space(d + 2)
-
-
 # ---------------------------------------------------------------------------
-# runners, bound to their catalog entries as CheckDef.run: each is called with d
-# (with nothing when d-independent) and returns
+# runners, bound to their catalog entries as CheckDef.run: each is called with
+# d (None when d-independent) and exp, the check's rows of expected.json
+# evaluated at d as {field: value}, and returns
 # (status, computed, expected, notes, axiom_names)
 
 
-def _run_example_universal(d: int):
+def _run_example_universal(d: int, exp: dict):
     ctx = _plane(d)
     dual = named_class(ctx, "sym_cube_dual").cohomology()
     tangent = named_class(ctx, "tangent").cohomology()
-    exp_dual = expected_value("example-universal", "h0_sym_cube_dual", d)
-    exp_tan = expected_value("example-universal", "h0_tangent", d)
     dual_weight = (0,) * (d + 1) + (-3,)
     tan_weight = (1,) + (0,) * d + (-1,)
     computed = {
@@ -120,46 +119,42 @@ def _run_example_universal(d: int):
     }
     ok = (
         dual.degrees() == [0]
-        and dual.dimension(0) == exp_dual
+        and dual.dimension(0) == exp["h0_sym_cube_dual"]
         and dual.weights(0) == Counter({dual_weight: 1})
         and tangent.degrees() == [0]
-        and tangent.dimension(0) == exp_tan
+        and tangent.dimension(0) == exp["h0_tangent"]
         and tangent.weights(0) == Counter({tan_weight: 1})
     )
-    expected = {"sole_degree": 0, "h0_sym_cube_dual": exp_dual, "h0_tangent": exp_tan}
-    return (PASS if ok else FAIL), computed, expected, "", ()
+    return (PASS if ok else FAIL), computed, {"sole_degree": 0, **exp}, "", ()
 
 
-def _run_lemma_s(d: int):
-    ctx = _plane(d)
-    prof = named_class(ctx, "sym_cube_dual").cohomology()
-    exp = expected_value("lemma-s", "h0_sym_cube_dual", d)
+def _run_lemma_s(d: int, exp: dict):
+    prof = named_class(_plane(d), "sym_cube_dual").cohomology()
     computed = {"degrees": prof.degrees(), "h0": prof.dimension(0)}
-    ok = prof.degrees() == [0] and prof.dimension(0) == exp
-    return (PASS if ok else FAIL), computed, {"h0_sym_cube_dual": exp}, "", ()
+    ok = prof.degrees() == [0] and prof.dimension(0) == exp["h0_sym_cube_dual"]
+    return (PASS if ok else FAIL), computed, exp, "", ()
 
 
-def _run_plethysm(d: int):
+def _run_plethysm(d: int, exp: dict):
     ctx = _plane(d)
     sym3 = named_class(ctx, "sym_cube")
     zero_q = (0,) * ctx.quotient_rank
     computed: dict = {}
-    expected: dict = {}
     ok = True
     for level in (2, 3, 4):
-        expected_weights = [tuple(w) for w in expected_value("plethysm-eq4", f"wedge{level}", d)]
+        expected_weights = [tuple(w) for w in exp[f"wedge{level}"]]
         target = EquivariantClass(ctx, {Bundle(zero_q, mu): 1 for mu in expected_weights})
         power = wedge_class(sym3, level)
         char_ok = character_of_combination(
             Counter(expected_weights)
         ) == elementary_character((3, 0), level)
         computed[f"wedge{level}"] = sorted(list(b.mu_s) for b in power.summands())
-        expected[f"wedge{level}"] = sorted(map(list, expected_weights))
         ok = ok and power == target and char_ok
+    expected = {field: sorted(weights) for field, weights in exp.items()}
     return (PASS if ok else FAIL), computed, expected, "", ()
 
 
-def _run_decompositions(d: int):
+def _run_decompositions(d: int, exp: dict):
     comparisons = verify_claimed_decompositions(d)
     computed = {
         "lines": [
@@ -168,9 +163,8 @@ def _run_decompositions(d: int):
         ],
         "lines_matching": sum(c.matches for c in comparisons),
     }
-    exp = expected_value("decompositions", "lines_matching", d)
-    ok = computed["lines_matching"] == exp == len(comparisons)
-    return (PASS if ok else FAIL), computed, {"lines_matching": exp}, "", ()
+    ok = computed["lines_matching"] == exp["lines_matching"] == len(comparisons)
+    return (PASS if ok else FAIL), computed, exp, "", ()
 
 
 def _lemma_profiles(d: int):
@@ -190,58 +184,52 @@ def _lemma_profiles(d: int):
     return ctx, profiles, pairing
 
 
-def _run_lemma_cohomology(d: int):
+def _run_lemma_cohomology(d: int, exp: dict):
     ctx, profiles, pairing = _lemma_profiles(d)
     hits = {key: prof for key, prof in profiles.items() if not prof.is_empty}
     nonzero = {
         f"wedge{level}_{label}": {str(q): prof.dimension(q) for q in prof.degrees()}
         for (label, level), prof in hits.items()
     }
-    exp_pairing = expected_value("lemma-cohomology", "h0_pairing", d)
     pairing_ok = (
         pairing.degrees() == [0]
-        and pairing.dimension(0) == exp_pairing
+        and pairing.dimension(0) == exp["h0_pairing"]
         and pairing.weights(0) == Counter({(0,) * (d + 2): 1})
     )
     computed = {"nonzero": nonzero, "h0_pairing": pairing.dimension(0)}
     if d >= 6:
-        expected = {"nonzero": {}, "h0_pairing": exp_pairing}
+        expected = {"nonzero": {}, "h0_pairing": exp["h0_pairing"]}
         ok = not nonzero and pairing_ok
         return (PASS if ok else FAIL), computed, expected, "", ()
 
     # d = 5: exactly two surviving groups, dimension 7 each
-    exp = {
-        "extra_groups": expected_value("lemma-cohomology", "extra_groups_d5", d),
-        "group_dimension": expected_value("lemma-cohomology", "group_dimension_d5", d),
-        "tangent_side": {
-            "wedge": expected_value("lemma-cohomology", "tangent_side_wedge_d5", d),
-            "degree": expected_value("lemma-cohomology", "tangent_side_degree_d5", d),
+    expected = {
+        "extra_groups": exp["extra_groups_d5"],
+        "group_dimension": exp["group_dimension_d5"],
+        **{
+            f"{side}_side": {key: exp[f"{side}_side_{key}_d5"] for key in ("wedge", "degree")}
+            for side in ("tangent", "normal")
         },
-        "normal_side": {
-            "wedge": expected_value("lemma-cohomology", "normal_side_wedge_d5", d),
-            "degree": expected_value("lemma-cohomology", "normal_side_degree_d5", d),
-        },
-        "h0_pairing": exp_pairing,
+        "h0_pairing": exp["h0_pairing"],
     }
-    tangent, normal = exp["tangent_side"], exp["normal_side"]
+    tangent, normal = expected["tangent_side"], expected["normal_side"]
+    group = expected["group_dimension"]
     tangent_levels = [level for label, level in hits if label == "tangent"]
     normal_levels = [level for label, level in hits if label == "sym3dual"]
     structure_ok = (
         pairing_ok
-        and len(nonzero) == exp["extra_groups"]
+        and len(nonzero) == expected["extra_groups"]
         and tangent_levels == [tangent["wedge"]]
-        and nonzero[f"wedge{tangent['wedge']}_tangent"]
-        == {str(tangent["degree"]): exp["group_dimension"]}
+        and nonzero[f"wedge{tangent['wedge']}_tangent"] == {str(tangent["degree"]): group}
         and len(normal_levels) == 1
-        and nonzero[f"wedge{normal_levels[0]}_sym3dual"]
-        == {str(normal["degree"]): exp["group_dimension"]}
+        and nonzero[f"wedge{normal_levels[0]}_sym3dual"] == {str(normal["degree"]): group}
     )
     if not structure_ok:
-        return FAIL, computed, exp, "", ()
+        return FAIL, computed, expected, "", ()
     level_found = normal_levels[0]
     computed["normal_side_wedge_level"] = level_found
     if level_found == normal["wedge"]:
-        return PASS, computed, exp, "", ()
+        return PASS, computed, expected, "", ()
     # the placement differs from the claim; make sure the engine's own
     # cross-checks hold before reporting it as a finding
     cross_ok = all(
@@ -250,87 +238,62 @@ def _run_lemma_cohomology(d: int):
         for lvl in (2, 3, 4)
     ) and euler_consistency(ctx, named_class(ctx, "sym_cube_dual"))
     if not cross_ok:
-        return FAIL, computed, exp, "internal cross-checks failed", ()
+        return FAIL, computed, expected, "internal cross-checks failed", ()
     notes = (
         f"the degree-5 group sits on exterior power {level_found}, "
         f"claimed placement is level {normal['wedge']}; "
         "dimension, degree and all internal cross-checks agree"
     )
-    return DISCREPANCY, computed, exp, notes, ()
+    return DISCREPANCY, computed, expected, notes, ()
 
 
-def _run_prop_cubic(d: int):
-    ctx = _line(d)
-    twist = named_class(ctx, "O(3)")
-    ideal = ideal_sheaf_cohomology(ctx, twist)
-    restricted_twist = restricted_cohomology(ctx, twist)
-    tangent = named_class(ctx, "tangent")
-    twisted_tangent = tangent.tensor(named_class(ctx, "O(-3)")).cohomology()
-    restricted_tangent = restricted_cohomology(ctx, tangent)
-    numbers = deformation_numbers(d, "cubic")
-    computed = {
-        "h0_ideal_twist": _dv(ideal[0]),
-        "h1_ideal_twist": _dv(ideal[1]),
-        "restricted_h0_twist": _dv(restricted_twist[0]),
-        "twisted_tangent_acyclic": twisted_tangent.is_empty,
-        "restricted_h0_tangent": _dv(restricted_tangent[0]),
-        "restricted_h1_tangent": _dv(restricted_tangent[1]),
-        "h1_tangent": numbers.h1_tangent,
-    }
-    expected = {
-        field: expected_value("prop-cubic", field, d)
-        for field in (
-            "h0_ideal_twist",
-            "h1_ideal_twist",
-            "restricted_h0_twist",
-            "restricted_h0_tangent",
-            "restricted_h1_tangent",
-            "h1_tangent",
-        )
-    }
-    expected["twisted_tangent_acyclic"] = True
-    ok = all(computed[k] == expected[k] for k in expected)
-    axioms = tuple(numbers.axioms_used) + ("Hq_tangent_cubic_zero",)
-    return (PASS if ok else FAIL), computed, expected, "", axioms
+def _proposition(d: int, side: str, label: str, ideal_degrees: int):
+    """The package both propositions share, on the ambient space of one side.
 
-
-def _run_prop_fano(d: int):
-    ctx = _plane(d)
+    The normal class is the dual cubic power of S on both sides (on
+    projective space, the class of O(3)); ``label`` names it in the keys.
+    Returns the context, the computed values and the axioms consumed by
+    the deformation count.
+    """
+    ctx = Grassmannian.projective_space(d + 2) if side == "cubic" else _plane(d)
     normal = named_class(ctx, "sym_cube_dual")
     ideal = ideal_sheaf_cohomology(ctx, normal)
     restricted_normal = restricted_cohomology(ctx, normal)
-    tangent = named_class(ctx, "tangent")
-    restricted_tangent = restricted_cohomology(ctx, tangent)
-    numbers = deformation_numbers(d, "fano")
-    computed = {
-        "h0_ideal_normal": _dv(ideal[0]),
-        "h1_ideal_normal": _dv(ideal[1]),
-        "h2_ideal_normal": _dv(ideal[2]),
-        "restricted_h0_normal": _dv(restricted_normal[0]),
-        "restricted_h0_tangent": _dv(restricted_tangent[0]),
-        "restricted_h1_tangent": _dv(restricted_tangent[1]),
-        "h1_tangent": numbers.h1_tangent,
-    }
-    expected = {
-        field: expected_value("prop-fano", field, d)
-        for field in computed
-    }
-    ok = all(computed[k] == expected[k] for k in expected)
-    axioms = tuple(numbers.axioms_used) + ("KAN_vanishing",)
-    return (PASS if ok else FAIL), computed, expected, "", axioms
+    restricted_tangent = restricted_cohomology(ctx, named_class(ctx, "tangent"))
+    numbers = deformation_numbers(d, side)
+    computed = {f"h{q}_ideal_{label}": _dv(ideal[q]) for q in range(ideal_degrees)}
+    computed[f"restricted_h0_{label}"] = _dv(restricted_normal[0])
+    computed["restricted_h0_tangent"] = _dv(restricted_tangent[0])
+    computed["restricted_h1_tangent"] = _dv(restricted_tangent[1])
+    computed["h1_tangent"] = numbers.h1_tangent
+    return ctx, computed, numbers.axioms_used
 
 
-def _run_theorem_moduli(d: int):
+def _run_prop_cubic(d: int, exp: dict):
+    ctx, computed, axioms = _proposition(d, "cubic", "twist", ideal_degrees=2)
+    twisted_tangent = named_class(ctx, "tangent").tensor(named_class(ctx, "O(-3)"))
+    computed["twisted_tangent_acyclic"] = twisted_tangent.cohomology().is_empty
+    expected = {**exp, "twisted_tangent_acyclic": True}
+    status = PASS if computed == expected else FAIL
+    return status, computed, expected, "", axioms + ("Hq_tangent_cubic_zero",)
+
+
+def _run_prop_fano(d: int, exp: dict):
+    _, computed, axioms = _proposition(d, "fano", "normal", ideal_degrees=3)
+    status = PASS if computed == exp else FAIL
+    return status, computed, exp, "", axioms + ("KAN_vanishing",)
+
+
+def _run_theorem_moduli(d: int, exp: dict):
     cubic = deformation_numbers(d, "cubic")
     fano = deformation_numbers(d, "fano")
-    exp = expected_value("theorem-moduli", "h1_tangent", d)
     computed = {"h1_cubic": cubic.h1_tangent, "h1_fano": fano.h1_tangent}
-    ok = cubic.h1_tangent == fano.h1_tangent == exp
-    axioms = tuple(cubic.axioms_used) + tuple(fano.axioms_used)
-    return (PASS if ok else FAIL), computed, {"h1_tangent": exp}, "", axioms
+    ok = cubic.h1_tangent == fano.h1_tangent == exp["h1_tangent"]
+    axioms = cubic.axioms_used + fano.axioms_used
+    return (PASS if ok else FAIL), computed, exp, "", axioms
 
 
-def _run_remark_d34(d: int):
+def _run_remark_d34(d: int, _exp: dict):
     ctx = _plane(d)
     computed = {}
     for name in ("tangent", "sym_cube_dual"):
@@ -352,7 +315,7 @@ def _run_remark_d34(d: int):
     return PASS, computed, None, notes, ()
 
 
-def _run_oracles(_d=None):
+def _run_oracles(_d: None, _exp: dict):
     suites = {
         "ssyt_vs_weyl": ssyt_weyl_suite(6, 5),
         "lr_tableaux_vs_products": lr_suite(4),
@@ -480,16 +443,8 @@ class CheckResult:
     notes: str
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "d": self.d,
-            "status": self.status,
-            "computed": self.computed,
-            "expected": self.expected,
-            "provenance": self.provenance,
-            "axioms": list(self.axioms),
-            "notes": self.notes,
-        }
+        # shallow: dataclasses.asdict would deep-copy every computed value
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -563,7 +518,11 @@ def _execute(cdef: CheckDef, d: int | None) -> CheckResult:
     if d is not None and not cdef.applies(d):
         outcome = (SKIPPED, None, None, f"skipped: applies for {cdef.applicability}", ())
     else:
-        outcome = cdef.run() if d is None else cdef.run(d)
+        exp = {
+            row["field"]: expected_value(cdef.check_id, row["field"], d)
+            for row in _rows(cdef.check_id)
+        }
+        outcome = cdef.run(d, exp)
     status, computed, expected, notes, axiom_names = outcome
     axioms = tuple(AXIOMS[name].to_dict() for name in dict.fromkeys(axiom_names))
     return CheckResult(

@@ -169,23 +169,19 @@ def named_class(ctx: Grassmannian, name: str) -> EquivariantClass:
     Accepted names: "S", "Q", "tangent", "sym_cube", "sym_cube_dual",
     "trivial", and "O(m)" on a projective-space context (k = 1).
     """
-    qr = ctx.quotient_rank
-    zero_q = (0,) * qr
+    zero_q = (0,) * ctx.quotient_rank
     zero_s = (0,) * ctx.k
     if name == "S":
-        return EquivariantClass.irreducible(ctx, zero_q, (1,) + (0,) * (ctx.k - 1))
+        return EquivariantClass.irreducible(ctx, zero_q, (1,) + zero_s[1:])
     if name == "Q":
-        return EquivariantClass.irreducible(ctx, (1,) + (0,) * (qr - 1), zero_s)
+        return EquivariantClass.irreducible(ctx, (1,) + zero_q[1:], zero_s)
     if name == "tangent":
         # Q tensor dual of S
-        mu = (-1,) if ctx.k == 1 else (0, -1)
-        return EquivariantClass.irreducible(ctx, (1,) + (0,) * (qr - 1), mu)
+        return EquivariantClass.irreducible(ctx, (1,) + zero_q[1:], zero_s[1:] + (-1,))
     if name == "sym_cube":
-        mu = (3,) if ctx.k == 1 else (3, 0)
-        return EquivariantClass.irreducible(ctx, zero_q, mu)
+        return EquivariantClass.irreducible(ctx, zero_q, (3,) + zero_s[1:])
     if name == "sym_cube_dual":
-        mu = (-3,) if ctx.k == 1 else (0, -3)
-        return EquivariantClass.irreducible(ctx, zero_q, mu)
+        return EquivariantClass.irreducible(ctx, zero_q, zero_s[1:] + (-3,))
     if name == "trivial":
         return EquivariantClass.trivial(ctx)
     m = _TWIST_RE.fullmatch(name)

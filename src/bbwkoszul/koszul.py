@@ -9,13 +9,16 @@ page E1 whose columns this module computes exactly. The page keeps the
 tensored terms too, and the displayed decompositions of the terms are
 checked against them.
 
-Degeneration is never assumed. An entry survives to the abutment when it
-is differential-isolated: every slot a differential could connect it to,
-on any later page, is either empty or shares no GL(V)-irreducible
-constituent with it (differentials are equivariant, so their rank between
-disjoint isotypic supports is zero). A total degree whose entries are all
-isolated gets an exact dimension; anything else is reported as a range,
-never guessed.
+Degeneration is decided by the engine's current heuristic, the isolation
+rule. An entry is taken to survive to the abutment when it is
+differential-isolated: every slot a differential could connect it to, on
+any later page, is either empty or shares no GL(V)-irreducible constituent
+with it. A total degree whose entries are all isolated gets an exact
+dimension; anything else is reported as a range. The rule is known to be
+unsound outside the paper's rows: the differentials contract with the
+fixed cubic f, which is not GL(V)-invariant, so disjoint isotypic
+supports do not force them to vanish (ROADMAP item 1; the witness is
+tests/test_koszul.py::test_isolation_rule_witness).
 
 Two facts consumed from outside (vanishing of global tangent fields of
 the zero locus, and of a smooth cubic) are data in an axiom registry, and
@@ -231,9 +234,10 @@ def koszul_analysis(ctx: Grassmannian, coefficient: EquivariantClass) -> KoszulA
         h^m(F|Z) = (h^m(F) - rank a_m) + (h^(m+1)(I(x)F) - rank a_(m+1)),
 
     where a_m is the comparison map H^m(I(x)F) -> H^m(F). The rank is
-    pinned when it is forced: a_0 is injective, a zero side forces rank 0,
-    and disjoint GL(V)-isotypic supports force rank 0. Anything else keeps
-    the value a range.
+    pinned when it is forced: a_0 is injective and a zero side forces
+    rank 0. The isolation heuristic of the module docstring also takes
+    rank 0 for disjoint GL(V)-isotypic supports, which is unsound in
+    general (ROADMAP item 1). Anything else keeps the value a range.
     """
     page = build_page(ctx, IDEAL_SHEAF, coefficient)
     verdicts = analyze(page)

@@ -45,6 +45,18 @@ class TestNamedClasses:
         assert named_class(GR27, "sym_cube").rank() == 4
         assert named_class(P6, "O(3)").rank() == 1
 
+    def test_any_subbundle_rank(self):
+        gr37 = Grassmannian(3, 7)
+        tangent, sym3, sym3_dual = (
+            named_class(gr37, name) for name in ("tangent", "sym_cube", "sym_cube_dual")
+        )
+        assert [c.rank() for c in (tangent, sym3, sym3_dual)] == [12, 10, 10]
+        assert tangent.cohomology().degrees() == [0]
+        assert tangent.cohomology().dimension(0) == 48  # traceless 7x7 matrices
+        assert sym3_dual.cohomology().degrees() == [0]
+        assert sym3_dual.cohomology().dimension(0) == 84  # cubic forms in 7 variables
+        assert sym3.cohomology().is_empty
+
 
 class TestTensor:
     def test_tangent_times_sym_cube(self):

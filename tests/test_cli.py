@@ -100,7 +100,7 @@ def test_json_timestamp_present_by_default(capsys):
 
 
 def test_failure_exit_code(capsys, monkeypatch):
-    def broken_runner(d):
+    def broken_runner(d, exp):
         return "fail", {"h0": -1}, {"h0": 0}, "forced failure", ()
 
     catalog = tuple(

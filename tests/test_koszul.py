@@ -345,3 +345,19 @@ def test_axiom_registry():
     for axiom in AXIOMS.values():
         assert axiom.statement and axiom.source
         assert "assumed" in axiom.source
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the isolation rule lets entries with disjoint isotypic "
+    "supports survive, but the differentials contract with a cubic that is not "
+    "GL(V)-invariant",
+)
+def test_isolation_rule_witness():
+    # H^m of (ideal sheaf of Z) tensor F vanishes for m < 0, and both page
+    # variants must give the same Euler characteristic
+    ctx = Grassmannian(2, 5)
+    coefficient = EquivariantClass.irreducible(ctx, (4, 0, 0), (-3, -4))
+    verdicts = koszul_analysis(ctx, coefficient).verdicts
+    assert not [m for m, v in verdicts.items() if m < 0 and v.determined and v.dimension]
+    assert euler_consistency(ctx, coefficient)
