@@ -1,9 +1,9 @@
 """Formal direct sums of irreducible homogeneous bundles and their calculus.
 
-Tensor products run Littlewood-Richardson on both factors, the quotient
-side and the subbundle side alike: each weight gets its own determinant
-pre-shift onto a partition, and the product is truncated to the rank of
-its factor before the shifts are undone. Cohomology of a class is the
+Tensor products decompose the quotient factors and the subbundle factors
+with ``weights.tensor_weights``: the Brauer-Klimyk rule, which straightens
+by the same signed sort as Borel-Weil-Bott and takes GL(r) weights with
+negative entries as they are. Cohomology of a class is the
 multiplicity-weighted union over its summands, gathered into one profile.
 
 Displayed decompositions in the source material trivialize det V; the
@@ -27,7 +27,7 @@ from .bbw import (
     validate_bundle,
 )
 from .gl2 import wedge_power_gl2
-from .weights import Weight, littlewood_richardson
+from .weights import Weight, tensor_weights
 
 
 class EquivariantClass:
@@ -85,7 +85,7 @@ class EquivariantClass:
         total: Counter[Bundle] = Counter()
         for b1, m1 in self._summands.items():
             for b2, m2 in other._summands.items():
-                for b, m in _tensor_bundles(self.ctx, b1, b2).items():
+                for b, m in _tensor_bundles(b1, b2).items():
                     total[b] += m1 * m2 * m
         return EquivariantClass(self.ctx, total)
 
@@ -126,24 +126,9 @@ class EquivariantClass:
         return f"EquivariantClass({self.ctx}, {body})"
 
 
-def _shifted_lr(rank: int, a: Weight, b: Weight) -> Counter[Weight]:
-    """Product of two GL(rank) irreducibles: shift to partitions, LR, truncate, unshift."""
-    ta = max(0, -a[-1])
-    tb = max(0, -b[-1])
-    pa = tuple(x + ta for x in a)
-    pb = tuple(x + tb for x in b)
-    out: Counter[Weight] = Counter()
-    for nu, c in littlewood_richardson(pa, pb).items():
-        if len(nu) > rank:
-            continue  # rank-zero Schur functor
-        padded = nu + (0,) * (rank - len(nu))
-        out[tuple(x - ta - tb for x in padded)] += c
-    return out
-
-
-def _tensor_bundles(ctx: Grassmannian, b1: Bundle, b2: Bundle) -> Counter[Bundle]:
-    q_part = _shifted_lr(ctx.quotient_rank, b1.lam_q, b2.lam_q)
-    s_part = _shifted_lr(ctx.k, b1.mu_s, b2.mu_s)
+def _tensor_bundles(b1: Bundle, b2: Bundle) -> Counter[Bundle]:
+    q_part = tensor_weights(b1.lam_q, b2.lam_q)
+    s_part = tensor_weights(b1.mu_s, b2.mu_s)
     out: Counter[Bundle] = Counter()
     for lam, cq in q_part.items():
         for mu, cs in s_part.items():

@@ -73,8 +73,8 @@ def gl2_tensor(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
 
     The summands are (a1+b1-k, a2+b2+k) for 0 <= k <= min(a1-a2, b1-b2),
     each with multiplicity one. The class calculus multiplies subbundle
-    factors by Littlewood-Richardson instead; this closed form is the
-    reference its rank-2 products are tested against.
+    factors with ``weights.tensor_weights`` instead; this closed form is
+    the reference its rank-2 products are tested against.
     """
     wa, wb = _check_gl2(a), _check_gl2(b)
     top = min(wa[0] - wa[1], wb[0] - wb[1])

@@ -178,16 +178,16 @@ def ssyt_weyl_suite(max_size: int, max_n: int) -> dict:
 
 
 def lr_suite(max_size: int) -> dict:
-    """Tableau-rule products against brute-force polynomial products."""
+    """Straightened (Brauer-Klimyk) products against brute-force polynomial products."""
     shapes = [p for size in range(max_size + 1) for p in partitions_of(size)]
     cases = 0
     failures = []
     for i, a in enumerate(shapes):
         for b in shapes[i:]:
-            tableau = littlewood_richardson(a, b)
+            straightened = littlewood_richardson(a, b)
             brute = schur_product_decomposition(a, b)
             cases += 1
-            if tableau != brute or tableau != littlewood_richardson(b, a):
+            if straightened != brute or straightened != littlewood_richardson(b, a):
                 failures.append({"a": list(a), "b": list(b)})
     return {"cases": cases, "failures": failures}
 

@@ -6,11 +6,17 @@ entries (trailing zeros are insignificant and stripped on normalization).
 Everything here is exact integer arithmetic: dimensions come from an
 integer product formula or from explicit tableau enumeration, never from
 floating point.
+
+``dominant_sort`` is the one straightening rule: Borel-Weil-Bott sorts a
+weight plus the staircase with it, and ``tensor_weights`` decomposes a
+tensor product by sorting one factor plus each weight of the other
+(Brauer-Klimyk). The weights of a factor, with multiplicity, are the
+contents of its semistandard tableaux (``ssyt_contents``).
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
@@ -157,71 +163,58 @@ def ssyt_contents(shape: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
 def count_ssyt(shape: Iterable[int], n: int) -> int:
     """Count semistandard Young tableaux of ``shape`` with entries in 1..n.
 
-    Independent dimension oracle: for a partition with at most n parts this
-    agrees with ``weyl_dimension`` of the zero-padded weight.
+    Dimension oracle: for a partition with at most n parts this agrees with
+    ``weyl_dimension`` of the zero-padded weight. ``tensor_weights`` reads
+    the weights of a factor off the same ``ssyt_contents``, so this count
+    also checks that the enumeration yields one weight per dimension.
     """
     return sum(1 for _ in ssyt_contents(shape, n))
+
+
+def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
+    """Decompose the tensor product of two GL(n) irreducibles (Brauer-Klimyk).
+
+    ``a`` and ``b`` are dominant weights of the same length n; entries may
+    be negative. The product is the sum, over the weights nu of one factor
+    counted with multiplicity, of (-1)^inversions times the irreducible of
+    highest weight ``dominant_sort(other + nu + rho) - rho``; a collision
+    contributes nothing. This is the straightening rule of Borel-Weil-Bott.
+    The factor with the smaller spread ``w[0] - w[-1]`` supplies the
+    weights, read off ``ssyt_contents``; a factor of spread 0 is a power of
+    the determinant and only shifts the other. Returns a Counter mapping
+    each highest weight to its multiplicity, and raises ArithmeticError if
+    a net multiplicity comes out negative.
+    """
+    a, b = tuple(a), tuple(b)
+    if len(a) != len(b):
+        raise ValueError(f"weights of different lengths: {a}, {b}")
+    if a[0] - a[-1] < b[0] - b[-1]:
+        a, b = b, a
+    low = b[-1]
+    if b[0] == low:
+        return Counter({tuple(x + low for x in a): 1})
+    staircase = range(len(a), 0, -1)
+    base = [x + r + low for x, r in zip(a, staircase)]
+    out: Counter[Weight] = Counter()
+    for content in ssyt_contents([x - low for x in b], len(b)):
+        straightened = dominant_sort(map(operator.add, base, content))
+        if straightened is not None:
+            inversions, w = straightened
+            out[tuple(map(operator.sub, w, staircase))] += -1 if inversions % 2 else 1
+    if any(m < 0 for m in out.values()):
+        raise ArithmeticError(f"negative multiplicity in {a} x {b}")
+    return +out
 
 
 def littlewood_richardson(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
     """Littlewood-Richardson multiplicities of the product of two Schur functors.
 
-    Enumerates the classical fillings: the shape grows from ``a`` by
-    horizontal strips of sizes b[0], b[1], ... while the reverse reading
-    word stays lattice. Returns a Counter mapping each partition ``nu`` to
-    its multiplicity.
+    Pads both partitions to len(a) + len(b) parts, where the GL(n) product
+    no longer loses constituents, multiplies them with ``tensor_weights``
+    and strips the zeros again. Returns a Counter mapping each partition
+    ``nu`` to its multiplicity.
     """
     pa, pb = as_partition(a), as_partition(b)
-    out: Counter[Weight] = Counter()
-    if not pb:
-        out[pa] += 1
-        return out
-    if not pa:
-        out[pb] += 1
-        return out
-
-    def place(label: int, shape: Weight, prev_cum: tuple[int, ...] | None) -> None:
-        if label == len(pb):
-            out[shape] += 1
-            return
-        size = pb[label]
-        nrows = len(shape) + 1
-
-        def choose(r: int, remaining: int, adds: list[int]) -> None:
-            if remaining == 0:
-                adds_full = adds + [0] * (nrows - len(adds))
-                grown = [
-                    (shape[i] if i < len(shape) else 0) + adds_full[i]
-                    for i in range(nrows)
-                ]
-                while grown and grown[-1] == 0:
-                    grown.pop()
-                cum = tuple(itertools.accumulate(adds_full))
-                place(label + 1, tuple(grown), cum)
-                return
-            if r == nrows:
-                return
-            current = shape[r] if r < len(shape) else 0
-            if r == 0:
-                cap = remaining
-            else:
-                # horizontal strip: new boxes sit under boxes of the old shape
-                above_old = shape[r - 1] if r - 1 < len(shape) else 0
-                cap = min(remaining, max(0, above_old - current))
-            if prev_cum is not None:
-                # lattice: labels placed so far through row r must not
-                # outnumber the previous label through row r-1
-                if r == 0:
-                    allowed = 0
-                else:
-                    allowed = prev_cum[min(r - 1, len(prev_cum) - 1)]
-                cap = min(cap, max(0, allowed - sum(adds)))
-            for m in range(cap, -1, -1):
-                adds.append(m)
-                choose(r + 1, remaining - m, adds)
-                adds.pop()
-
-        choose(0, size, [])
-
-    place(0, pa, None)
-    return out
+    n = max(len(pa) + len(pb), 1)
+    product = tensor_weights(pa + (0,) * (n - len(pa)), pb + (0,) * (n - len(pb)))
+    return Counter({as_partition(nu): m for nu, m in product.items()})

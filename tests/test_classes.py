@@ -12,6 +12,7 @@ from bbwkoszul.classes import (
 )
 from bbwkoszul.gl2 import gl2_tensor
 from bbwkoszul.koszul import verify_claimed_decompositions
+from bbwkoszul.oracles import schur_product_decomposition
 
 GR27 = Grassmannian(2, 7)
 P6 = Grassmannian.projective_space(7)
@@ -94,20 +95,38 @@ class TestTensor:
         k = data.draw(st.sampled_from((1, 2, 3)))
         ctx = Grassmannian(k, k + data.draw(st.integers(1, 3)))
 
-        def weight(length):
-            entries = data.draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+        def weight(length, bound=3):
+            entries = data.draw(
+                st.lists(st.integers(-bound, bound), min_size=length, max_size=length)
+            )
             return tuple(sorted(entries, reverse=True))
 
         a_lam, a_mu = weight(ctx.quotient_rank), weight(k)
         b_lam, b_mu = weight(ctx.quotient_rank), weight(k)
         a, b = cls(ctx, a_lam, a_mu), cls(ctx, b_lam, b_mu)
         assert a.tensor(b).rank() == a.rank() * b.rank()
+        t = data.draw(st.integers(-3, 3))
+        det_power = cls(ctx, (t,) * ctx.quotient_rank, (t,) * k)
+        assert a.tensor(det_power) == det_power.tensor(a) == a.shifted(t)
+        zero_q = (0,) * ctx.quotient_rank
         if k == 2:
-            zero_q = (0,) * ctx.quotient_rank
-            s_product = cls(ctx, zero_q, a_mu).tensor(cls(ctx, zero_q, b_mu))
-            assert s_product == EquivariantClass(
-                ctx, {Bundle(zero_q, mu): m for mu, m in gl2_tensor(a_mu, b_mu).items()}
-            )
+            s_a, s_b = a_mu, b_mu
+            expected = gl2_tensor(a_mu, b_mu)
+        else:
+            # second route: shift each weight onto a partition, multiply
+            # monomial expansions, drop constituents longer than k, unshift
+            s_a, s_b = weight(k, bound=2), weight(k, bound=2)
+            ta, tb = -s_a[-1], -s_b[-1]
+            brute = schur_product_decomposition([x + ta for x in s_a], [x + tb for x in s_b])
+            expected = {
+                tuple(x - ta - tb for x in nu + (0,) * (k - len(nu))): m
+                for nu, m in brute.items()
+                if len(nu) <= k
+            }
+        s_product = cls(ctx, zero_q, s_a).tensor(cls(ctx, zero_q, s_b))
+        assert s_product == EquivariantClass(
+            ctx, {Bundle(zero_q, mu): m for mu, m in expected.items()}
+        )
 
     def test_context_mismatch(self):
         with pytest.raises(ValueError):

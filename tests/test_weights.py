@@ -1,17 +1,18 @@
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bbwkoszul.oracles import schur_product_decomposition
+from bbwkoszul.oracles import kostka_number, schur_product_decomposition
 from bbwkoszul.weights import (
     count_ssyt,
     dominant_sort,
     is_dominant,
     littlewood_richardson,
     partitions_of,
+    ssyt_contents,
     weyl_dimension,
 )
 
@@ -128,6 +129,17 @@ class TestCountSsyt:
                     padded = shape + (0,) * (n - len(shape))
                     expected = weyl_dimension(padded, n) if len(shape) <= n else 0
                     assert count_ssyt(shape, n) == expected
+
+    def test_contents_are_kostka_numbers(self):
+        # tensor products read each factor's weights, with multiplicity, off
+        # ssyt_contents; the strip-peeling kostka_number is a second route
+        for size in range(7):
+            for shape in partitions_of(size):
+                for n in range(1, 5):
+                    contents = Counter(ssyt_contents(shape, n))
+                    for mu in product(range(size + 1), repeat=n):
+                        if sum(mu) == size:
+                            assert contents[mu] == kostka_number(shape, mu), (shape, mu)
 
 
 class TestLittlewoodRichardson:
