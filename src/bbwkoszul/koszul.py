@@ -175,7 +175,10 @@ def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
         by_degree.setdefault(p + q, []).append((p, q, dim))
     verdicts: dict[int, DegreeVerdict] = {}
     for m in range(page.p_min, page.q_max + 1):
-        entries = by_degree.get(m, ())
+        entries = by_degree.get(m)
+        if entries is None:
+            verdicts[m] = DegreeVerdict(m, True, 0, 0)
+            continue
         upper = sum(dim for _, _, dim in entries)
         blocking = [pair for p, q, _ in entries for pair in _entry_blocking(page, p, q)]
         if blocking:
@@ -244,34 +247,35 @@ def koszul_analysis(ctx: Grassmannian, coefficient: EquivariantClass) -> KoszulA
     ambient = coefficient.cohomology()
     top = ctx.dimension
 
-    ideal = []
-    for m in range(top + 2):
-        v = verdicts.get(m)
-        if v is None:
-            ideal.append(DimValue.of(0))
-        elif v.determined:
-            ideal.append(DimValue.of(v.dimension))
-        else:
-            ideal.append(DimValue(0, v.upper_bound))
+    # Only degrees where the page or the ambient is nonzero do any work;
+    # every other value is zero, and so is every rank into or out of it.
+    zero = DimValue.of(0)
+    ambient_dim = {m: ambient.dimension(m) for m in ambient.degrees()}
+    live = set(ambient_dim)
+    ideal = [zero] * (top + 2)
+    for m, v in verdicts.items():
+        if v.upper_bound and 0 <= m <= top:
+            ideal[m] = DimValue.of(v.dimension) if v.determined else DimValue(0, v.upper_bound)
+            live.update((m - 1, m))
 
     def rank_bounds(a: DimValue, degree: int) -> DimValue:
-        b_dim = ambient.dimension(degree)
+        b_dim = ambient_dim.get(degree, 0)
         if a.upper == 0 or b_dim == 0:
-            return DimValue.of(0)
+            return zero
         if degree == 0:
             return a  # global sections of a subsheaf inject
         if not (page.total_degree_constituents(degree) & ambient.constituents(degree)):
-            return DimValue.of(0)
+            return zero
         return DimValue(0, min(a.upper, b_dim))
 
-    restricted = []
-    for m in range(top + 1):
+    restricted = [zero] * (top + 1)
+    for m in sorted(live - {-1}):
         a_here, a_next = ideal[m], ideal[m + 1]
         r_here, r_next = rank_bounds(a_here, m), rank_bounds(a_next, m + 1)
-        b_here = ambient.dimension(m)
+        b_here = ambient_dim.get(m, 0)
         lower = (b_here - r_here.upper) + max(0, a_next.lower - r_next.upper)
         upper = (b_here - r_here.lower) + (a_next.upper - r_next.lower)
-        restricted.append(DimValue(max(0, lower), max(0, upper)))
+        restricted[m] = DimValue(max(0, lower), max(0, upper))
     return KoszulAnalysis(
         page, MappingProxyType(verdicts), tuple(ideal[: top + 1]), tuple(restricted)
     )

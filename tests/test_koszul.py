@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -215,6 +216,17 @@ class TestDeformationNumbers:
                 deformation_numbers(d, "cubic").h1_tangent
                 == deformation_numbers(d, "fano").h1_tangent
             )
+
+    def test_large_d_guard(self):
+        # dense Weyl products and degree loops made d = 1000 take minutes
+        for side in ("cubic", "fano"):
+            assert deformation_numbers(1000, side).h1_tangent == comb(1002, 3)
+        ctx = plane(1000)
+        analysis = koszul_analysis(ctx, named_class(ctx, "tangent"))
+        assert len(analysis.ideal) == len(analysis.restricted) == ctx.dimension + 1
+        assert sorted(analysis.verdicts) == list(
+            range(analysis.page.p_min, analysis.page.q_max + 1)
+        )
 
 
 class TestEulerConsistency:

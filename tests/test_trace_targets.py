@@ -46,3 +46,4 @@ def test_build_page_binds_the_page_key():
 def test_weyl_cache_statistics():
     info = weights._weyl_product.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+    assert info.maxsize is not None

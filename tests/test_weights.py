@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bbwkoszul.oracles import kostka_number, schur_product_decomposition
 from bbwkoszul.weights import (
+    as_partition,
     count_ssyt,
     dominant_sort,
     is_dominant,
@@ -34,6 +35,37 @@ def brute_force_sort(weight):
             return inv, arranged
     raise AssertionError("unreachable")
 
+
+def pairwise_sort(weight):
+    """Reference for long weights: count the inversions pair by pair."""
+    w = tuple(weight)
+    if len(set(w)) != len(w):
+        return None
+    inv = sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] < w[j])
+    return inv, tuple(sorted(w, reverse=True))
+
+
+def dense_weyl_product(w):
+    """Reference for weyl_dimension: every pair i < j of the Weyl formula."""
+    num = den = 1
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
+
+
+# dominant weights made of a few long runs, negative values included
+run_weights = st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(1, 10)), min_size=1, max_size=4
+).map(lambda runs: tuple(v for v, length in sorted(runs, reverse=True) for _ in range(length)))
+
+# distinct entries, up to 200 of them; appending the first entry again collides
+long_weights = st.integers(0, 200).flatmap(
+    lambda n: st.lists(st.integers(-300, 300), min_size=n, max_size=n, unique=True)
+)
 
 distinct_weights = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(
     lambda v: len(set(v)) == len(v)
@@ -78,6 +110,18 @@ class TestDominantSort:
         outcome = dominant_sort(entries)
         assert (outcome is None) == (len(set(entries)) != len(entries))
 
+    @given(st.one_of(long_weights, long_weights.map(lambda v: v + v[:1])))
+    def test_long_weights_match_pairwise_count(self, entries):
+        assert dominant_sort(entries) == pairwise_sort(entries)
+
+    def test_long_staircase(self):
+        # a dominant weight plus the staircase, as Borel-Weil-Bott sorts it
+        n = 200
+        shifted = [x + n - i for i, x in enumerate((5,) + (0,) * (n - 2) + (-3,))]
+        assert dominant_sort(shifted) == (0, tuple(shifted))
+        assert dominant_sort(shifted[::-1]) == (n * (n - 1) // 2, tuple(shifted))
+        assert dominant_sort(shifted[:-1] + [shifted[1]]) is None
+
 
 class TestWeylDimension:
     def test_cubic_dual_space(self):
@@ -100,6 +144,17 @@ class TestWeylDimension:
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             weyl_dimension((0, 1))
+
+    @given(run_weights)
+    def test_matches_dense_product(self, weight):
+        assert weyl_dimension(weight) == dense_weyl_product(weight)
+
+    def test_closed_forms_at_n_1000(self):
+        n = 1000
+        assert weyl_dimension((3,) + (0,) * (n - 1)) == comb(n + 2, 3)
+        for k in (1, 2, 7, 500, n):
+            assert weyl_dimension((1,) * k + (0,) * (n - k)) == comb(n, k)
+        assert weyl_dimension((1,) + (0,) * (n - 2) + (-1,)) == n**2 - 1
 
     @given(partition_strategy(), st.integers(-4, 4))
     def test_determinant_twist_invariance(self, shape, t):
@@ -197,6 +252,13 @@ def test_partition_counts():
     assert sum(1 for _ in partitions_of(6)) == 11
     assert list(partitions_of(0)) == [()]
     assert list(partitions_of(3, max_parts=2)) == [(3,), (2, 1)]
+
+
+def test_as_partition_strips_long_zero_tail():
+    assert as_partition((3, 1) + (0,) * 1000) == (3, 1)
+    assert as_partition((0,) * 1000) == ()
+    with pytest.raises(ValueError):
+        as_partition((1,) + (0,) * 1000 + (-1,))
 
 
 def test_is_dominant():
