@@ -2,7 +2,10 @@
 hypercohomology bookkeeping, and a verification harness for the
 deformation counts of cubic hypersurfaces and their schemes of lines.
 
-All arithmetic is exact integer arithmetic.
+All arithmetic is exact integer arithmetic. Every record (``Grassmannian``,
+``Bundle``, ``KoszulPage``, ``CheckResult``, ...) is a ``typing.NamedTuple``:
+immutable and hashable, with any invariant (1 <= k < n for a Grassmannian,
+0 <= lower <= upper for a ``DimValue``) checked when it is built.
 """
 
 from ._version import __version__

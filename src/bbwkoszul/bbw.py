@@ -17,22 +17,30 @@ presentations happen one level up, in the class calculus.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .weights import Weight, dominant_sort, is_dominant, weyl_dimension
 
 
-@dataclass(frozen=True)
-class Grassmannian:
-    """Gr(k, n): k-dimensional subspaces of an n-dimensional space V."""
-
+class _GrassmannianFields(NamedTuple):
     k: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+
+class Grassmannian(_GrassmannianFields):
+    """Gr(k, n): k-dimensional subspaces of an n-dimensional space V."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int) -> "Grassmannian":
+        if not 1 <= k < n:
+            raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        return super().__new__(cls, k, n)
+
+    @classmethod
+    def _make(cls, iterable) -> "Grassmannian":
+        # _replace builds through _make; validate there too
+        return cls(*iterable)
 
     @property
     def quotient_rank(self) -> int:

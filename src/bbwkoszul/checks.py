@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, fields
 from importlib import resources
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._version import __version__
 from .bbw import Bundle, Grassmannian
@@ -30,15 +29,6 @@ from .koszul import (
     koszul_analysis,
     restricted_cohomology,
     verify_claimed_decompositions,
-)
-from .oracles import (
-    character_of_combination,
-    elementary_character,
-    euler_suite,
-    gl2_suite,
-    lr_suite,
-    serre_suite,
-    ssyt_weyl_suite,
 )
 
 PASS = "pass"
@@ -79,17 +69,23 @@ def expected_value(check: str, field: str, d: int):
     return value
 
 
-def _rows(check: str) -> list[dict]:
-    return [row for (c, _), row in sorted(_EXPECTED.items()) if c == check]
+def _index_expected() -> dict[str, tuple[tuple[str, ...], str]]:
+    """Per check: the fields of its rows of expected.json, sorted, and their provenance."""
+    rows: dict[str, list[dict]] = {}
+    for key in sorted(_EXPECTED):
+        rows.setdefault(key[0], []).append(_EXPECTED[key])
+    return {
+        check: (
+            tuple(row["field"] for row in group),
+            "; ".join(f"{row['field']} = {row['value']} ({row['provenance']})" for row in group),
+        )
+        for check, group in rows.items()
+    }
 
 
-def _provenance(check: str) -> str:
-    rows = _rows(check)
-    if not rows:
-        return "derived: dual-route property suites"
-    return "; ".join(
-        f"{row['field']} = {row['value']} ({row['provenance']})" for row in rows
-    )
+_BY_CHECK = _index_expected()
+# a check with no rows in expected.json
+_NO_ROWS = ((), "derived: dual-route property suites")
 
 
 def _dv(value: DimValue):
@@ -105,6 +101,9 @@ def _plane(d: int) -> Grassmannian:
 # d (None when d-independent) and exp, the check's rows of expected.json
 # evaluated at d as {field: value}, and returns
 # (status, computed, expected, notes, axiom_names)
+#
+# The runners that cross-check against the oracles import them when they
+# run, so a report without those rows does not load bbwkoszul.oracles.
 
 
 def _run_example_universal(d: int, exp: dict):
@@ -136,6 +135,8 @@ def _run_lemma_s(d: int, exp: dict):
 
 
 def _run_plethysm(d: int, exp: dict):
+    from .oracles import character_of_combination, elementary_character
+
     ctx = _plane(d)
     sym3 = named_class(ctx, "sym_cube")
     zero_q = (0,) * ctx.quotient_rank
@@ -232,6 +233,8 @@ def _run_lemma_cohomology(d: int, exp: dict):
         return PASS, computed, expected, "", ()
     # the placement differs from the claim; make sure the engine's own
     # cross-checks hold before reporting it as a finding
+    from .oracles import character_of_combination, elementary_character
+
     cross_ok = all(
         character_of_combination(wedge_power_gl2((3, 0), lvl))
         == elementary_character((3, 0), lvl)
@@ -316,6 +319,8 @@ def _run_remark_d34(d: int, _exp: dict):
 
 
 def _run_oracles(_d: None, _exp: dict):
+    from .oracles import euler_suite, gl2_suite, lr_suite, serre_suite, ssyt_weyl_suite
+
     suites = {
         "ssyt_vs_weyl": ssyt_weyl_suite(6, 5),
         "lr_tableaux_vs_products": lr_suite(4),
@@ -335,8 +340,7 @@ def _run_oracles(_d: None, _exp: dict):
 # catalog
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(NamedTuple):
     check_id: str
     description: str
     claim: str
@@ -431,8 +435,7 @@ CATALOG: tuple[CheckDef, ...] = (
     ),
 )
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     d: int | None
     status: str
@@ -443,12 +446,11 @@ class CheckResult:
     notes: str
 
     def to_dict(self) -> dict:
-        # shallow: dataclasses.asdict would deep-copy every computed value
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # shallow: the computed and expected values are not copied
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     version: str
     d_min: int
     d_max: int
@@ -515,13 +517,11 @@ def _resolve(check_ids) -> tuple[CheckDef, ...]:
 
 
 def _execute(cdef: CheckDef, d: int | None) -> CheckResult:
+    fields, provenance = _BY_CHECK.get(cdef.check_id, _NO_ROWS)
     if d is not None and not cdef.applies(d):
         outcome = (SKIPPED, None, None, f"skipped: applies for {cdef.applicability}", ())
     else:
-        exp = {
-            row["field"]: expected_value(cdef.check_id, row["field"], d)
-            for row in _rows(cdef.check_id)
-        }
+        exp = {field: expected_value(cdef.check_id, field, d) for field in fields}
         outcome = cdef.run(d, exp)
     status, computed, expected, notes, axiom_names = outcome
     axioms = tuple(AXIOMS[name].to_dict() for name in dict.fromkeys(axiom_names))
@@ -531,7 +531,7 @@ def _execute(cdef: CheckDef, d: int | None) -> CheckResult:
         status=status,
         computed=computed,
         expected=expected,
-        provenance=_provenance(cdef.check_id),
+        provenance=provenance,
         axioms=axioms,
         notes=notes,
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 
 from .checks import UsageError, list_checks, run_checks
 
@@ -112,11 +111,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        timestamp = (
-            None
-            if args.no_timestamp
-            else datetime.now(timezone.utc).isoformat(timespec="seconds")
-        )
+        timestamp = None
+        if not args.no_timestamp:
+            # imported here: only a timestamped report pays for datetime
+            from datetime import datetime, timezone
+
+            timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         json.dump(report.to_dict(timestamp=timestamp), sys.stdout, indent=2, sort_keys=True)
         print()
     else:

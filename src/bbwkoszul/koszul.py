@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .bbw import Bundle, CohomologyProfile, Grassmannian
 from .classes import EquivariantClass, det_shift, named_class, wedge_class
@@ -50,22 +50,36 @@ def _wedge_level(variant: str, p: int) -> int:
     return 1 - p if variant == IDEAL_SHEAF else -p
 
 
-@dataclass(frozen=True)
-class KoszulPage:
+class KoszulPage(NamedTuple):
     """First page of one Koszul hypercohomology spectral sequence.
 
     ``terms[p]`` is the p-th resolution term tensored with the coefficient
     class and ``columns[p]`` its full cohomology profile; the (p, q) entry
     is the degree-q slice of the column. Ideal-sheaf pages use exterior
     powers 1..r of the cubic symmetric power of S (p = 1-level),
-    restriction pages 0..r (p = -level).
+    restriction pages 0..r (p = -level). A page is identified by its key
+    (ctx, variant, coefficient); equality and hashing ignore the terms and
+    columns, which the key determines.
     """
 
     ctx: Grassmannian
     variant: str
     coefficient: EquivariantClass
-    terms: Mapping[int, EquivariantClass] = field(compare=False)
-    columns: Mapping[int, CohomologyProfile] = field(compare=False)
+    terms: Mapping[int, EquivariantClass]
+    columns: Mapping[int, CohomologyProfile]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KoszulPage):
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, KoszulPage):
+            return NotImplemented
+        return self[:3] != other[:3]
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     @property
     def p_min(self) -> int:
@@ -127,8 +141,7 @@ def build_page(
 BlockingPair = tuple[tuple[int, int], tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
+class DegreeVerdict(NamedTuple):
     """What the page pins down about the abutment in one total degree."""
 
     total_degree: int
@@ -188,16 +201,25 @@ def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
     return verdicts
 
 
-@dataclass(frozen=True)
-class DimValue:
-    """An exactly known or merely bracketed non-negative dimension."""
-
+class _DimValueFields(NamedTuple):
     lower: int
     upper: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.lower <= self.upper:
-            raise ValueError(f"bad bounds [{self.lower}, {self.upper}]")
+
+class DimValue(_DimValueFields):
+    """An exactly known or merely bracketed non-negative dimension."""
+
+    __slots__ = ()
+
+    def __new__(cls, lower: int, upper: int) -> "DimValue":
+        if not 0 <= lower <= upper:
+            raise ValueError(f"bad bounds [{lower}, {upper}]")
+        return super().__new__(cls, lower, upper)
+
+    @classmethod
+    def _make(cls, iterable) -> "DimValue":
+        # _replace builds through _make; validate there too
+        return cls(*iterable)
 
     @property
     def exact(self) -> int | None:
@@ -213,8 +235,7 @@ class DimValue:
 ANALYSIS_CACHE_SIZE = 4
 
 
-@dataclass(frozen=True)
-class KoszulAnalysis:
+class KoszulAnalysis(NamedTuple):
     """What the ideal-sheaf page of one coefficient class F pins down.
 
     ``ideal[m]`` is the cohomology of (ideal sheaf of Z) tensor F in
@@ -295,8 +316,7 @@ def restricted_cohomology(
     return dict(enumerate(koszul_analysis(ctx, coefficient).restricted))
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     """An externally established vanishing consumed by the bookkeeping."""
 
     name: str
@@ -304,7 +324,7 @@ class Axiom:
     source: str
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "statement": self.statement, "source": self.source}
+        return self._asdict()
 
 
 AXIOMS: dict[str, Axiom] = {
@@ -334,8 +354,7 @@ AXIOMS: dict[str, Axiom] = {
 }
 
 
-@dataclass(frozen=True)
-class DeformationNumbers:
+class DeformationNumbers(NamedTuple):
     """First-order deformation bookkeeping for one side of the correspondence.
 
     ``h1_tangent`` is assembled as h0_normal minus h0 of the restricted
@@ -432,8 +451,7 @@ def factor_pages(ctx: Grassmannian) -> dict[str, KoszulPage]:
     }
 
 
-@dataclass(frozen=True)
-class DecompositionComparison:
+class DecompositionComparison(NamedTuple):
     """Outcome of re-deriving one displayed tensor decomposition."""
 
     line_id: str

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import bbwkoszul
@@ -104,7 +103,7 @@ def test_failure_exit_code(capsys, monkeypatch):
         return "fail", {"h0": -1}, {"h0": 0}, "forced failure", ()
 
     catalog = tuple(
-        replace(c, run=broken_runner) if c.check_id == "lemma-s" else c
+        c._replace(run=broken_runner) if c.check_id == "lemma-s" else c
         for c in checks.CATALOG
     )
     monkeypatch.setattr(checks, "CATALOG", catalog)
@@ -119,15 +118,48 @@ def test_default_report_matches_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256
 
 
-def test_default_report_digest_without_asserts():
-    # -O strips assert statements; the report must not depend on them
+def _child_env() -> dict[str, str]:
     src = str(Path(bbwkoszul.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_default_report_digest_without_asserts():
+    # -O strips assert statements; the report must not depend on them
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "bbwkoszul.cli", *GOLDEN_ARGV],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256
+
+
+# prints the modules a fresh interpreter newly loads for `import
+# bbwkoszul.cli`, then those loaded once a theorem-moduli row has run
+NEW_MODULES_SCRIPT = """
+import sys
+bare = set(sys.modules)
+import bbwkoszul.cli
+print(" ".join(sorted(set(sys.modules) - bare)))
+bbwkoszul.cli.run_checks(5, 5, ("theorem-moduli",))
+print(" ".join(sorted(set(sys.modules) - bare)))
+"""
+
+
+def test_cold_import_loads_only_what_verify_uses():
+    # every cold `verify` pays for its imports: records are NamedTuples
+    # (dataclasses pulls in inspect), and datetime and the oracles are
+    # imported by the code paths that use them
+    proc = subprocess.run(
+        [sys.executable, "-c", NEW_MODULES_SCRIPT],
+        capture_output=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    on_import, after_moduli = (set(line.split()) for line in proc.stdout.decode().splitlines())
+    assert "bbwkoszul.cli" in on_import
+    assert not on_import & {"dataclasses", "inspect", "datetime", "bbwkoszul.oracles"}
+    assert "bbwkoszul.oracles" not in after_moduli
