@@ -26,7 +26,15 @@ from .weights import (
 )
 
 
-@lru_cache(maxsize=None)
+# Entries after the default report: 44 Schur expansions and 768 Kostka
+# numbers; after lr_suite(6): 174 and 10 484. The bounds hold either
+# working set, so a warm pass still hits, and keep a long-lived process
+# from growing without limit.
+SCHUR_MONOMIALS_CACHE_SIZE = 256
+KOSTKA_CACHE_SIZE = 16384
+
+
+@lru_cache(maxsize=SCHUR_MONOMIALS_CACHE_SIZE)
 def _schur_monomials(shape: Weight, nvars: int) -> dict[tuple[int, ...], int]:
     """Monomial expansion of a Schur polynomial: exponent vector -> coefficient."""
     out: Counter[tuple[int, ...]] = Counter()
@@ -59,7 +67,7 @@ def _strip_shrinks(shape: Weight, size: int) -> list[Weight]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KOSTKA_CACHE_SIZE)
 def kostka_number(shape: Weight, content: Weight) -> int:
     """Count semistandard tableaux of ``shape`` with exactly ``content``.
 
@@ -84,7 +92,8 @@ def schur_product_decomposition(a, b) -> Counter[Weight]:
 
     The product's coefficients are only needed on dominant exponents; the
     peel subtracts Kostka rows from the lexicographically largest surviving
-    partition downwards.
+    partition downwards. Every coefficient and every peeled weight is a
+    partition of the total size, so one list of them serves both steps.
     """
     pa, pb = as_partition(a), as_partition(b)
     if not pa:
@@ -96,15 +105,14 @@ def schur_product_decomposition(a, b) -> Counter[Weight]:
     mb = _schur_monomials(pb, nvars)
     small, big = (ma, mb) if len(ma) <= len(mb) else (mb, ma)
     total = sum(pa) + sum(pb)
+    partitions = tuple(partitions_of(total, max_parts=nvars))
     coeffs: dict[Weight, int] = {}
-    for cpart in partitions_of(total, max_parts=nvars):
+    for cpart in partitions:
         cpad = cpart + (0,) * (nvars - len(cpart))
         acc = 0
         for u, cu in small.items():
-            leftover = tuple(x - y for x, y in zip(cpad, u))
-            if min(leftover) < 0:
-                continue
-            acc += cu * big.get(leftover, 0)
+            # a leftover with a negative entry is no exponent vector: get -> 0
+            acc += cu * big.get(tuple(x - y for x, y in zip(cpad, u)), 0)
         if acc:
             coeffs[cpart] = acc
     out: Counter[Weight] = Counter()
@@ -114,7 +122,7 @@ def schur_product_decomposition(a, b) -> Counter[Weight]:
         if mult < 0:
             raise ArithmeticError(f"greedy peel failed at {nu}")
         out[nu] = mult
-        for mu in partitions_of(sum(nu), max_parts=nvars):
+        for mu in partitions:
             k = kostka_number(nu, mu)
             if not k:
                 continue

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,12 +7,25 @@ import sys
 from pathlib import Path
 
 import bbwkoszul
-from bbwkoszul import checks
+from bbwkoszul import checks, cli
 from bbwkoszul.cli import main
 
 # sha256 of the default report; every change must leave it byte-identical
 GOLDEN_SHA256 = "2910a0b388725e2d8ab5a0a98b1dba47e6a9a89d9b6952cf164a211ef8e5bd46"
 GOLDEN_ARGV = ("--format", "json", "--no-timestamp")
+
+# 50 consecutive d over every d-dependent check but remark-d34: a 455 KB
+# report of about 41 500 encoder tokens
+SWEEP_CHECKS = (
+    "example-universal", "lemma-s", "plethysm-eq4", "decompositions",
+    "lemma-cohomology", "prop-cubic", "prop-fano", "theorem-moduli",
+)
+SWEEP_ARGV = (
+    "--d-min", "6", "--d-max", "55",
+    *(arg for check in SWEEP_CHECKS for arg in ("--check", check)),
+    *GOLDEN_ARGV,
+)
+SWEEP_SHA256 = "d7d7e67cac5cde5592b1a3c21b47843ef041ab9a2e929f484fef4958cd47b960"
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +148,58 @@ def test_default_report_digest_without_asserts():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_json_writes_bounded_by_report_size(monkeypatch):
+    # json.dump would write once per encoder token, about 41 500 times
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(list(SWEEP_ARGV)) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256
+    assert out.writes <= len(text) // 4096 + 2
+
+
+def test_piped_unbuffered_child_writes_same_bytes():
+    # each write reaches the pipe at once here; the batches must join up
+    payload = checks.run_checks().to_dict(timestamp=None)
+    tokens = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
+    assert tokens > 2 * cli.JSON_TOKENS_PER_WRITE
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbwkoszul.cli", *GOLDEN_ARGV],
+        capture_output=True,
+        env={**_child_env(), "PYTHONUNBUFFERED": "1"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # like `verify ... | head -2`: the reader leaves after 100 bytes of a
+    # report several times the size of a pipe buffer
+    with subprocess.Popen(
+        [sys.executable, "-m", "bbwkoszul.cli", "--d-min", "6", "--d-max", "40", *GOLDEN_ARGV],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_STDOUT_CLOSED
+    assert b"Traceback" not in err, err.decode()
 
 
 # prints the modules a fresh interpreter newly loads for `import

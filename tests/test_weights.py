@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from bbwkoszul import oracles
 from bbwkoszul.oracles import kostka_number, schur_product_decomposition
 from bbwkoszul.weights import (
     as_partition,
@@ -246,6 +247,12 @@ class TestLittlewoodRichardson:
         for a in shapes:
             for b in shapes:
                 assert littlewood_richardson(a, b) == schur_product_decomposition(a, b)
+
+
+def test_oracle_caches_are_bounded():
+    # a long-lived process that runs the oracle row must not grow without limit
+    assert oracles._schur_monomials.cache_info().maxsize == oracles.SCHUR_MONOMIALS_CACHE_SIZE
+    assert oracles.kostka_number.cache_info().maxsize == oracles.KOSTKA_CACHE_SIZE
 
 
 def test_partition_counts():
