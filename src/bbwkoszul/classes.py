@@ -228,7 +228,9 @@ def serre_check(ctx: Grassmannian, bundle: Bundle) -> bool:
     """Serre-duality dimension symmetry for one irreducible bundle.
 
     Checks that H^q of the bundle and H^(dim - q) of (dual tensor
-    canonical) have equal total dimensions in every degree.
+    canonical) have equal total dimensions in every degree. Both sides
+    are compared over their nonzero degrees, so a group in a degree
+    outside 0..dim fails the check.
     """
     direct = bbw_cohomology(ctx, bundle)
     partner = EquivariantClass.irreducible(ctx, *bundle.dual()).tensor(
@@ -236,6 +238,6 @@ def serre_check(ctx: Grassmannian, bundle: Bundle) -> bool:
     )
     mirrored = partner.cohomology()
     top = ctx.dimension
-    return all(
-        direct.dimension(q) == mirrored.dimension(top - q) for q in range(top + 1)
-    )
+    return {q: direct.dimension(q) for q in direct.degrees()} == {
+        top - q: mirrored.dimension(q) for q in mirrored.degrees()
+    }

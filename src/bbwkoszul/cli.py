@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 at least one failed check, 2 usage error,
 3 (only under --strict-paper) at least one paper-discrepancy, 141 stdout
 closed before the report was written (the shell's code for SIGPIPE).
 
-A report goes to stdout in bounded writes: one per batch of JSON tokens,
-or one for the whole text report, never one per token.
+A report goes to stdout in bounded writes, one per batch of JSON tokens
+or of text lines: never one per token, and never one for a whole report,
+which unbuffered stdout could lose part of without an error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .checks import UsageError, list_checks, run_checks
 # tokens of a batch live until they are joined, so larger batches raise
 # peak memory (4 096 tokens: +0.2 MB) and save no measurable time.
 JSON_TOKENS_PER_WRITE = 512
+# Text lines run to about 75 characters, so a batch is about 5 KB too. A
+# batch that the reader abandons part-way is cut short without an error on
+# unbuffered stdout; the next batch then meets the closed pipe.
+TEXT_LINES_PER_WRITE = 64
 EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a piped writer
 
 
@@ -60,14 +65,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_batches(payload) -> Iterator[str]:
-    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    while batch := "".join(islice(tokens, JSON_TOKENS_PER_WRITE)):
+def _batches(pieces: Iterator[str], size: int) -> Iterator[str]:
+    while batch := "".join(islice(pieces, size)):
         yield batch
+
+
+def _json_batches(payload) -> Iterator[str]:
+    yield from _batches(
+        json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload),
+        JSON_TOKENS_PER_WRITE,
+    )
     yield "\n"
 
 
-def _render_text(report) -> str:
+def _text_lines(report) -> list[str]:
     lines = [
         f"verification report (engine {report.version})",
         f"d range {report.d_min}..{report.d_max}; checks: {', '.join(report.checks)}",
@@ -96,7 +107,7 @@ def _render_text(report) -> str:
         for name in sorted(axioms):
             a = axioms[name]
             lines.append(f"  {name}: {a['statement']} [{a['source']}]")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _render_list() -> str:
@@ -152,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
             timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         pieces = _json_batches(report.to_dict(timestamp=timestamp))
     else:
-        pieces = (_render_text(report),)
+        pieces = _batches((line + "\n" for line in _text_lines(report)), TEXT_LINES_PER_WRITE)
     if not _write(pieces):
         return EXIT_STDOUT_CLOSED
     return report.exit_code(strict_paper=args.strict_paper)

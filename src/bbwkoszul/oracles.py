@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -20,7 +21,6 @@ from .weights import (
     as_partition,
     count_ssyt,
     partitions_of,
-    ssyt_contents,
     weyl_dimension,
     littlewood_richardson,
 )
@@ -32,6 +32,55 @@ from .weights import (
 # from growing without limit.
 SCHUR_MONOMIALS_CACHE_SIZE = 256
 KOSTKA_CACHE_SIZE = 16384
+
+
+def _rows(length: int, floor: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    # weakly increasing rows with row[c] >= floor[c] and entries <= n
+    row = [0] * length
+
+    def rec(c: int, lo: int) -> Iterator[tuple[int, ...]]:
+        for v in range(max(lo, floor[c]), n + 1):
+            row[c] = v
+            if c + 1 == length:
+                yield tuple(row)
+            else:
+                yield from rec(c + 1, v)
+
+    if length == 0:
+        yield ()
+    else:
+        yield from rec(0, 1)
+
+
+def ssyt_contents(shape: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
+    """Content vectors of all semistandard tableaux of ``shape`` with entries 1..n.
+
+    The content vector records how many times each of 1..n appears; one
+    vector is yielded per tableau, so duplicates count multiplicity. This
+    is the tableau route: the engine's ``weights.weight_multiplicities``
+    counts the same weights by Kostka numbers and never lists a tableau.
+    """
+    p = as_partition(shape)
+    if len(p) > n:
+        return
+    if not p:
+        yield (0,) * n
+        return
+    content = [0] * n
+
+    def fill(r: int, above: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        floor = tuple(v + 1 for v in above[: p[r]])
+        for row in _rows(p[r], floor, n):
+            for v in row:
+                content[v - 1] += 1
+            if r + 1 == len(p):
+                yield tuple(content)
+            else:
+                yield from fill(r + 1, row)
+            for v in row:
+                content[v - 1] -= 1
+
+    yield from fill(0, (0,) * p[0])
 
 
 @lru_cache(maxsize=SCHUR_MONOMIALS_CACHE_SIZE)
@@ -168,7 +217,7 @@ def character_of_combination(parts: Counter[Weight]) -> Counter[tuple[int, int]]
 
 
 def ssyt_weyl_suite(max_size: int, max_n: int) -> dict:
-    """Tableau counting against the dimension product formula, exhaustively."""
+    """Tableau counts from Kostka numbers against the dimension product formula."""
     cases = 0
     failures = []
     for size in range(max_size + 1):

@@ -4,14 +4,17 @@ Weights are plain integer tuples, highest entry first. A dominant weight
 is weakly decreasing; a partition is a dominant weight without negative
 entries (trailing zeros are insignificant and stripped on normalization).
 Everything here is exact integer arithmetic: dimensions come from an
-integer product formula or from explicit tableau enumeration, never from
-floating point.
+integer product formula or from Kostka numbers, never from floating
+point.
 
 ``dominant_sort`` is the one straightening rule: Borel-Weil-Bott sorts a
 weight plus the staircase with it, and ``tensor_weights`` decomposes a
 tensor product by sorting one factor plus each weight of the other
-(Brauer-Klimyk). The weights of a factor, with multiplicity, are the
-contents of its semistandard tableaux (``ssyt_contents``).
+(Brauer-Klimyk). ``weight_multiplicities`` lists the weights of a factor,
+each distinct weight once: the rearrangements of every dominant weight mu
+below the highest one, with the Kostka number of mu as multiplicity.
+No tableau is listed; the tableau enumeration lives in ``oracles`` as
+the second route.
 """
 
 from __future__ import annotations
@@ -21,15 +24,18 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import groupby
-from math import perm
+from itertools import accumulate, combinations, groupby
+from math import factorial, perm
 
 Weight = tuple[int, ...]
 
 # Distinct weights measured per run: 382 for the default report (d = 3..12),
-# 466 for d = 3..40 and 155 for a 50-d paper sweep. The bound keeps a
-# long-lived process from growing without limit.
+# 466 for d = 3..40 and 155 for a 50-d paper sweep. Kostka keys measured
+# per run: 125 for the default report, 124 for lr_suite(6) and 497 for
+# ssyt_weyl_suite(8, 6). The bounds keep a long-lived process from growing
+# without limit.
 WEYL_CACHE_SIZE = 1024
+KOSTKA_CACHE_SIZE = 1024
 
 
 def is_dominant(weight: Iterable[int]) -> bool:
@@ -147,62 +153,128 @@ def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Weight]:
     yield from rec(n, n, max_parts if max_parts is not None else n)
 
 
-def _rows(length: int, floor: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    # weakly increasing rows with row[c] >= floor[c] and entries <= n
-    row = [0] * length
+def _strip_shrinks(shape: Weight, size: int) -> Iterator[Weight]:
+    """Partitions eta inside ``shape`` with shape/eta a horizontal strip of ``size`` cells."""
+    rows = len(shape)
+    eta = list(shape)
 
-    def rec(c: int, lo: int) -> Iterator[tuple[int, ...]]:
-        for v in range(max(lo, floor[c]), n + 1):
-            row[c] = v
-            if c + 1 == length:
-                yield tuple(row)
+    def rec(i: int, remaining: int) -> Iterator[Weight]:
+        if i == rows:
+            if remaining == 0:
+                yield as_partition(eta)
+            return
+        floor = shape[i + 1] if i + 1 < rows else 0
+        for part in range(shape[i], max(floor, shape[i] - remaining) - 1, -1):
+            eta[i] = part
+            yield from rec(i + 1, remaining - shape[i] + part)
+        eta[i] = shape[i]
+
+    yield from rec(0, size)
+
+
+@lru_cache(maxsize=KOSTKA_CACHE_SIZE)
+def _kostka(shape: Weight, mu: Weight) -> int:
+    """The Kostka number: semistandard tableaux of ``shape`` with content ``mu``.
+
+    Both arguments are partitions. The cells holding the largest letter
+    form a horizontal strip of mu[-1] cells; peel it and recurse on the
+    rest. A Kostka number does not change when the content is permuted,
+    so one partition stands for every arrangement, in any number of
+    letters: the key does not depend on n.
+    """
+    if not mu:
+        return 0 if shape else 1
+    if len(shape) > len(mu):
+        return 0  # a column longer than the number of letters
+    rest = mu[:-1]
+    return sum(_kostka(eta, rest) for eta in _strip_shrinks(shape, mu[-1]))
+
+
+def _dominated(shape: Weight, n: int) -> Iterator[Weight]:
+    """Partitions mu of |shape| with at most n parts and mu <= shape in dominance order.
+
+    These are the dominant weights of the GL(n) irreducible of ``shape``:
+    mu_1 + ... + mu_i never exceeds shape_1 + ... + shape_i.
+    """
+    bounds = list(accumulate(shape))
+    total = bounds[-1] if bounds else 0
+    mu: list[int] = []
+
+    def rec(done: int, cap: int) -> Iterator[Weight]:
+        remaining = total - done
+        if remaining == 0:
+            yield tuple(mu)
+            return
+        i = len(mu)
+        if i == n:
+            return
+        top = min(cap, remaining, (bounds[i] if i < len(bounds) else total) - done)
+        # this part and the n - i - 1 after it, none larger, hold what remains
+        bottom = -(-remaining // (n - i))
+        for part in range(top, bottom - 1, -1):
+            mu.append(part)
+            yield from rec(done + part, part)
+            mu.pop()
+
+    yield from rec(0, total)
+
+
+def _arrangements(mu: Weight, n: int) -> Iterator[Weight]:
+    """The distinct rearrangements of ``mu`` padded with zeros to n entries."""
+    runs = [(value, sum(1 for _ in group)) for value, group in groupby(mu)]
+    weight = [0] * n
+
+    def place(r: int, free: list[int]) -> Iterator[Weight]:
+        value, count = runs[r]
+        last = r + 1 == len(runs)
+        for chosen in combinations(free, count):
+            for i in chosen:
+                weight[i] = value
+            if last:
+                yield tuple(weight)
             else:
-                yield from rec(c + 1, v)
+                yield from place(r + 1, [i for i in free if i not in chosen])
+            for i in chosen:
+                weight[i] = 0
 
-    if length == 0:
-        yield ()
+    if runs:
+        yield from place(0, list(range(n)))
     else:
-        yield from rec(0, 1)
+        yield tuple(weight)
 
 
-def ssyt_contents(shape: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
-    """Content vectors of all semistandard tableaux of ``shape`` with entries 1..n.
+def _orbit_size(mu: Weight, n: int) -> int:
+    """The number of distinct rearrangements of ``mu`` padded with zeros to n entries."""
+    size = perm(n, len(mu))
+    for _, group in groupby(mu):
+        size //= factorial(sum(1 for _ in group))
+    return size
 
-    The content vector records how many times each of 1..n appears; one
-    vector is yielded per tableau, so duplicates count multiplicity.
+
+def weight_multiplicities(shape: Iterable[int], n: int) -> Iterator[tuple[Weight, int]]:
+    """Each weight of the GL(n) irreducible of partition ``shape``, once, with its multiplicity.
+
+    The multiplicity of a weight is the Kostka number of ``shape`` and the
+    dominant weight mu it rearranges: the number of semistandard tableaux
+    with that content. Yields nothing when ``shape`` has more than n parts.
     """
     p = as_partition(shape)
-    if len(p) > n:
-        return
-    if not p:
-        yield (0,) * n
-        return
-    content = [0] * n
-
-    def fill(r: int, above: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        floor = tuple(v + 1 for v in above[: p[r]])
-        for row in _rows(p[r], floor, n):
-            for v in row:
-                content[v - 1] += 1
-            if r + 1 == len(p):
-                yield tuple(content)
-            else:
-                yield from fill(r + 1, row)
-            for v in row:
-                content[v - 1] -= 1
-
-    yield from fill(0, (0,) * p[0])
+    for mu in _dominated(p, n):
+        multiplicity = _kostka(p, mu)
+        for weight in _arrangements(mu, n):
+            yield weight, multiplicity
 
 
 def count_ssyt(shape: Iterable[int], n: int) -> int:
     """Count semistandard Young tableaux of ``shape`` with entries in 1..n.
 
-    Dimension oracle: for a partition with at most n parts this agrees with
-    ``weyl_dimension`` of the zero-padded weight. ``tensor_weights`` reads
-    the weights of a factor off the same ``ssyt_contents``, so this count
-    also checks that the enumeration yields one weight per dimension.
+    Sums the Kostka number of each dominant weight mu times the number of
+    its rearrangements, without listing a tableau or a weight. For a
+    partition with at most n parts this is the dimension, so it checks
+    ``weyl_dimension`` and the multiplicities ``tensor_weights`` reads.
     """
-    return sum(1 for _ in ssyt_contents(shape, n))
+    p = as_partition(shape)
+    return sum(_kostka(p, mu) * _orbit_size(mu, n) for mu in _dominated(p, n))
 
 
 def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
@@ -214,10 +286,11 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
     highest weight ``dominant_sort(other + nu + rho) - rho``; a collision
     contributes nothing. This is the straightening rule of Borel-Weil-Bott.
     The factor with the smaller spread ``w[0] - w[-1]`` supplies the
-    weights, read off ``ssyt_contents``; a factor of spread 0 is a power of
-    the determinant and only shifts the other. Returns a Counter mapping
-    each highest weight to its multiplicity, and raises ArithmeticError if
-    a net multiplicity comes out negative.
+    weights: ``weight_multiplicities`` gives each distinct one once, so a
+    weight costs one sort however many tableaux share it. A factor of
+    spread 0 is a power of the determinant and only shifts the other.
+    Returns a Counter mapping each highest weight to its multiplicity, and
+    raises ArithmeticError if a net multiplicity comes out negative.
     """
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
@@ -230,11 +303,13 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
     staircase = range(len(a), 0, -1)
     base = [x + r + low for x, r in zip(a, staircase)]
     out: Counter[Weight] = Counter()
-    for content in ssyt_contents([x - low for x in b], len(b)):
-        straightened = dominant_sort(map(operator.add, base, content))
+    for nu, multiplicity in weight_multiplicities([x - low for x in b], len(b)):
+        straightened = dominant_sort(map(operator.add, base, nu))
         if straightened is not None:
             inversions, w = straightened
-            out[tuple(map(operator.sub, w, staircase))] += -1 if inversions % 2 else 1
+            out[tuple(map(operator.sub, w, staircase))] += (
+                -multiplicity if inversions % 2 else multiplicity
+            )
     if any(m < 0 for m in out.values()):
         raise ArithmeticError(f"negative multiplicity in {a} x {b}")
     return +out
@@ -245,8 +320,10 @@ def littlewood_richardson(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]
 
     Pads both partitions to len(a) + len(b) parts, where the GL(n) product
     no longer loses constituents, multiplies them with ``tensor_weights``
-    and strips the zeros again. Returns a Counter mapping each partition
-    ``nu`` to its multiplicity.
+    and strips the zeros again. The padding multiplies the rearrangements
+    of each weight, not its Kostka number, which is computed once per
+    dominant weight. Returns a Counter mapping each partition ``nu`` to
+    its multiplicity.
     """
     pa, pb = as_partition(a), as_partition(b)
     n = max(len(pa) + len(pb), 1)

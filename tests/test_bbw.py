@@ -11,6 +11,7 @@ from bbwkoszul.bbw import (
     canonical_bundle,
     rho,
 )
+from bbwkoszul import classes
 from bbwkoszul.classes import serre_check
 from bbwkoszul.oracles import random_bundle
 
@@ -160,6 +161,20 @@ class TestSerre:
         # h0(O(3)) = 35 on one side, h4 of O(-8) on the other
         assert bbw_cohomology(ctx, Bundle((0,) * 4, (-3,))).dimension(0) == 35
         assert serre_check(ctx, Bundle((0,) * 4, (-3,)))
+
+    def test_degree_outside_range_fails(self, monkeypatch):
+        # lift every group above dim Z: both sides still agree on degrees
+        # 0..dim (all zero there), but the mirrored ones land below 0
+        top = GR27.dimension
+
+        def lifted(ctx, bundle):
+            profile = bbw_cohomology(ctx, bundle)
+            return CohomologyProfile(
+                ctx.n, {q + top + 1: profile.weights(q) for q in profile.degrees()}
+            )
+
+        monkeypatch.setattr(classes, "bbw_cohomology", lifted)
+        assert not serre_check(GR27, Bundle((0,) * 5, (0, -3)))
 
     def test_randomized(self):
         rng = random.Random(5)

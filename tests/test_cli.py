@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bbwkoszul
 from bbwkoszul import checks, cli
 from bbwkoszul.cli import main
@@ -13,6 +15,8 @@ from bbwkoszul.cli import main
 # sha256 of the default report; every change must leave it byte-identical
 GOLDEN_SHA256 = "2910a0b388725e2d8ab5a0a98b1dba47e6a9a89d9b6952cf164a211ef8e5bd46"
 GOLDEN_ARGV = ("--format", "json", "--no-timestamp")
+# sha256 of the default text report, as written before it went out in batches
+GOLDEN_TEXT_SHA256 = "6adfbeb65b105a7dfb16edb49ef11e6764702f5bfdf0863faeacf196a54e671e"
 
 # 50 consecutive d over every d-dependent check but remark-d34: a 455 KB
 # report of about 41 500 encoder tokens
@@ -200,6 +204,33 @@ def test_closed_stdout_exits_141_without_traceback():
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == cli.EXIT_STDOUT_CLOSED
     assert b"Traceback" not in err, err.decode()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_text_report_exits_141(unbuffered):
+    # the text report of d = 3..200 is 133 KB, twice a pipe buffer; a single
+    # write that the reader abandons part-way returns a short count, which
+    # unbuffered stdout drops without an error, so only later writes fail
+    with subprocess.Popen(
+        [sys.executable, "-m", "bbwkoszul.cli", "--d-min", "3", "--d-max", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**_child_env(), "PYTHONUNBUFFERED": unbuffered},
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_STDOUT_CLOSED
+    assert b"Traceback" not in err, err.decode()
+
+
+def test_default_text_report_digest_in_bounded_writes(monkeypatch):
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([]) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TEXT_SHA256
+    assert out.writes == -(-text.count("\n") // cli.TEXT_LINES_PER_WRITE)
 
 
 # prints the modules a fresh interpreter newly loads for `import

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from bbwkoszul import oracles
-from bbwkoszul.oracles import kostka_number, schur_product_decomposition
+from bbwkoszul import oracles, weights
+from bbwkoszul.oracles import kostka_number, schur_product_decomposition, ssyt_contents
 from bbwkoszul.weights import (
     as_partition,
     count_ssyt,
@@ -14,7 +14,8 @@ from bbwkoszul.weights import (
     is_dominant,
     littlewood_richardson,
     partitions_of,
-    ssyt_contents,
+    tensor_weights,
+    weight_multiplicities,
     weyl_dimension,
 )
 
@@ -187,8 +188,8 @@ class TestCountSsyt:
                     assert count_ssyt(shape, n) == expected
 
     def test_contents_are_kostka_numbers(self):
-        # tensor products read each factor's weights, with multiplicity, off
-        # ssyt_contents; the strip-peeling kostka_number is a second route
+        # the oracle's tableau enumeration against its strip-peeling
+        # kostka_number
         for size in range(7):
             for shape in partitions_of(size):
                 for n in range(1, 5):
@@ -196,6 +197,37 @@ class TestCountSsyt:
                     for mu in product(range(size + 1), repeat=n):
                         if sum(mu) == size:
                             assert contents[mu] == kostka_number(shape, mu), (shape, mu)
+
+
+class TestWeightMultiplicities:
+    def test_agree_with_tableau_enumeration(self):
+        # the oracle lists one content per tableau; the engine lists each
+        # weight once with a Kostka number and never sees a tableau
+        for size in range(8):
+            for shape in partitions_of(size):
+                for n in range(1, 7):
+                    listed = list(weight_multiplicities(shape, n))
+                    assert len(listed) == len({w for w, _ in listed})
+                    assert dict(listed) == Counter(ssyt_contents(shape, n)), (shape, n)
+                    padded = shape + (0,) * (n - len(shape))
+                    expected = weyl_dimension(padded, n) if len(shape) <= n else 0
+                    assert count_ssyt(shape, n) == expected, (shape, n)
+
+    def test_large_n_product(self):
+        # a factor of 250 weights against one of dimension about 10**37:
+        # the work follows the distinct weights, and the Kostka keys do not
+        # depend on n
+        n = 250
+        vector = (1,) + (0,) * (n - 1)
+        wide = (5,) + (0,) * (n - 2) + (-5,)
+        weights._kostka.cache_clear()
+        product = tensor_weights(vector, wide)
+        keys = weights._kostka.cache_info().currsize
+        assert len(product) == 3
+        assert sum(m * weyl_dimension(w) for w, m in product.items()) == n * weyl_dimension(wide)
+        weights._kostka.cache_clear()
+        tensor_weights(vector[: n // 2], wide[: n // 2 - 1] + (-5,))
+        assert weights._kostka.cache_info().currsize == keys
 
 
 class TestLittlewoodRichardson:
