@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 from ._version import __version__
 from .bbw import Bundle, Grassmannian
 from .classes import EquivariantClass, named_class, wedge_class
-from .gl2 import wedge_power_gl2
 from .koszul import (
     AXIOMS,
     DimValue,
@@ -30,6 +29,7 @@ from .koszul import (
     restricted_cohomology,
     verify_claimed_decompositions,
 )
+from .weights import wedge_weights
 
 PASS = "pass"
 FAIL = "fail"
@@ -236,7 +236,7 @@ def _run_lemma_cohomology(d: int, exp: dict):
     from .oracles import character_of_combination, elementary_character
 
     cross_ok = all(
-        character_of_combination(wedge_power_gl2((3, 0), lvl))
+        character_of_combination(wedge_weights((3, 0), lvl))
         == elementary_character((3, 0), lvl)
         for lvl in (2, 3, 4)
     ) and euler_consistency(ctx, named_class(ctx, "sym_cube_dual"))

@@ -1,10 +1,11 @@
 """Formal direct sums of irreducible homogeneous bundles and their calculus.
 
 Tensor products decompose the quotient factors and the subbundle factors
-with ``weights.tensor_weights``: the Brauer-Klimyk rule, which straightens
-by the same signed sort as Borel-Weil-Bott and takes GL(r) weights with
-negative entries as they are. Cohomology of a class is the
-multiplicity-weighted union over its summands, gathered into one profile.
+with ``weights.tensor_weights``, and exterior powers the subbundle factor
+with ``weights.wedge_weights``: both straighten by the same signed sort as
+Borel-Weil-Bott and take GL(r) weights with negative entries as they are.
+Cohomology of a class is the multiplicity-weighted union over its
+summands, gathered into one profile.
 
 Displayed decompositions in the source material trivialize det V; the
 engine never does. ``det_shift`` is the single point where classes are
@@ -26,8 +27,7 @@ from .bbw import (
     canonical_bundle,
     validate_bundle,
 )
-from .gl2 import wedge_power_gl2
-from .weights import Weight, tensor_weights
+from .weights import Weight, tensor_weights, wedge_weights
 
 
 class EquivariantClass:
@@ -178,32 +178,23 @@ def named_class(ctx: Grassmannian, name: str) -> EquivariantClass:
 
 
 def wedge_class(cls_: EquivariantClass, j: int) -> EquivariantClass:
-    """Exterior power of a single S-only irreducible summand.
+    """Exterior power of a single S-only irreducible summand, for any subbundle rank.
 
-    Supports subbundle rank 1 and 2 (closed-form characters); powers above
-    the rank of the summand come out empty.
+    ``weights.wedge_weights`` decomposes the power of the subbundle
+    factor; powers above the rank of the summand come out empty. On
+    Gr(3, n) this builds every Koszul term, but the degeneration verdicts
+    of those pages still rest on the isolation rule, which is unsound
+    (ROADMAP item 1 has a Gr(3, 7) witness), so no check or report field
+    makes a claim about them.
     """
-    if j < 0:
-        raise ValueError("negative exterior power")
-    ctx = cls_.ctx
-    if j == 0:
-        return EquivariantClass.trivial(ctx)
     items = list(cls_._summands.items())
     if len(items) != 1 or items[0][1] != 1:
         raise ValueError("exterior powers only for a single irreducible summand")
     bundle = items[0][0]
     if any(bundle.lam_q):
         raise ValueError("exterior powers only for S-only classes")
-    if ctx.k == 1:
-        if j == 1:
-            return cls_
-        return EquivariantClass.empty(ctx)
-    if ctx.k == 2:
-        parts = wedge_power_gl2(bundle.mu_s, j)
-        return EquivariantClass(
-            ctx, {Bundle(bundle.lam_q, mu): m for mu, m in parts.items()}
-        )
-    raise NotImplementedError("subbundle rank above 2 is out of scope")
+    parts = wedge_weights(bundle.mu_s, j)
+    return EquivariantClass(cls_.ctx, {Bundle(bundle.lam_q, mu): m for mu, m in parts.items()})
 
 
 def det_shift(a: EquivariantClass, b: EquivariantClass) -> int | None:

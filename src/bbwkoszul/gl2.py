@@ -5,6 +5,10 @@ integer multiplicities; the irreducible of highest weight (w1, w2) has
 the w1-w2+1 monomials x^(w1-j) y^(w2+j). Exterior and symmetric powers
 are expanded monomial by monomial and peeled greedily back into
 irreducibles, so every identity here is certified by exact bookkeeping.
+
+This module is a reference only: no engine module imports it. The engine
+takes tensor and exterior powers from ``weights``, and the oracles and
+the tests compare those against the closed forms here.
 """
 
 from __future__ import annotations

@@ -7,14 +7,16 @@ Everything here is exact integer arithmetic: dimensions come from an
 integer product formula or from Kostka numbers, never from floating
 point.
 
-``dominant_sort`` is the one straightening rule: Borel-Weil-Bott sorts a
-weight plus the staircase with it, and ``tensor_weights`` decomposes a
-tensor product by sorting one factor plus each weight of the other
-(Brauer-Klimyk). ``weight_multiplicities`` lists the weights of a factor,
-each distinct weight once: the rearrangements of every dominant weight mu
-below the highest one, with the Kostka number of mu as multiplicity.
-No tableau is listed; the tableau enumeration lives in ``oracles`` as
-the second route.
+``dominant_sort`` is the one straightening rule. Borel-Weil-Bott sorts a
+weight plus the staircase with it. ``_straighten`` applies the same sort
+to a character given by its weights (Weyl's rule), and both products of
+irreducibles go through it: ``tensor_weights`` feeds it one factor plus
+each weight of the other (Brauer-Klimyk), and ``wedge_weights`` feeds it
+the sums of the j-subsets of the weights of one irreducible.
+``weight_multiplicities`` lists the weights of a factor, each distinct
+weight once: the rearrangements of every dominant weight mu below the
+highest one, with the Kostka number of mu as multiplicity. No tableau is
+listed; the tableau enumeration lives in ``oracles`` as the second route.
 """
 
 from __future__ import annotations
@@ -22,20 +24,24 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from itertools import accumulate, combinations, groupby
 from math import factorial, perm
+from types import MappingProxyType
 
 Weight = tuple[int, ...]
 
 # Distinct weights measured per run: 382 for the default report (d = 3..12),
 # 466 for d = 3..40 and 155 for a 50-d paper sweep. Kostka keys measured
 # per run: 125 for the default report, 124 for lr_suite(6) and 497 for
-# ssyt_weyl_suite(8, 6). The bounds keep a long-lived process from growing
-# without limit.
+# ssyt_weyl_suite(8, 6). Exterior-power keys measured per run: 7 for the
+# default report (powers 0..4 of the cubic power of a rank-2 subbundle,
+# 0..1 of a line subbundle) and 5 for a 50-d paper sweep. The bounds keep
+# a long-lived process from growing without limit.
 WEYL_CACHE_SIZE = 1024
 KOSTKA_CACHE_SIZE = 1024
+WEDGE_CACHE_SIZE = 256
 
 
 def is_dominant(weight: Iterable[int]) -> bool:
@@ -277,20 +283,61 @@ def count_ssyt(shape: Iterable[int], n: int) -> int:
     return sum(_kostka(p, mu) * _orbit_size(mu, n) for mu in _dominated(p, n))
 
 
+def _straighten(base: Weight, weights: Iterable[tuple[Weight, int]]) -> Counter[Weight]:
+    """Weyl's rule: straighten each weight nu, shifted by ``base``, into an irreducible.
+
+    Returns the sum over ``weights`` of m * (-1)^inversions times the
+    highest weight ``dominant_sort(base + nu + rho) - rho``; a collision
+    contributes nothing. When ``base`` is constant and the weights are
+    those of a W-invariant character, this decomposes the character into
+    irreducibles. When ``base`` is a dominant weight and the weights are
+    those of a second irreducible, it decomposes the tensor product
+    (Brauer-Klimyk).
+    Raises ArithmeticError if a net multiplicity comes out negative.
+    """
+    staircase = range(len(base), 0, -1)
+    shifted = [x + r for x, r in zip(base, staircase)]
+    out: Counter[Weight] = Counter()
+    for nu, multiplicity in weights:
+        straightened = dominant_sort(map(operator.add, shifted, nu))
+        if straightened is not None:
+            inversions, w = straightened
+            out[tuple(map(operator.sub, w, staircase))] += (
+                -multiplicity if inversions % 2 else multiplicity
+            )
+    if any(m < 0 for m in out.values()):
+        raise ArithmeticError(f"negative multiplicity straightening onto {base}")
+    return +out
+
+
+def _dual(w: Weight) -> Weight:
+    """The highest weight of the dual representation."""
+    return tuple(-x for x in reversed(w))
+
+
+def _dual_is_smaller(w: Weight) -> bool:
+    """Whether the partition of the dual, w[0] - reversed(w), has fewer boxes than w - w[-1].
+
+    The boxes bound the depth and the work of listing the weights, so a
+    factor like the dual of the vector representation, whose partition
+    has n - 1 boxes, is listed through its dual of one box.
+    """
+    return len(w) * (w[0] + w[-1]) < 2 * sum(w)
+
+
 def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
     """Decompose the tensor product of two GL(n) irreducibles (Brauer-Klimyk).
 
     ``a`` and ``b`` are dominant weights of the same length n; entries may
-    be negative. The product is the sum, over the weights nu of one factor
-    counted with multiplicity, of (-1)^inversions times the irreducible of
-    highest weight ``dominant_sort(other + nu + rho) - rho``; a collision
-    contributes nothing. This is the straightening rule of Borel-Weil-Bott.
-    The factor with the smaller spread ``w[0] - w[-1]`` supplies the
-    weights: ``weight_multiplicities`` gives each distinct one once, so a
-    weight costs one sort however many tableaux share it. A factor of
-    spread 0 is a power of the determinant and only shifts the other.
-    Returns a Counter mapping each highest weight to its multiplicity, and
-    raises ArithmeticError if a net multiplicity comes out negative.
+    be negative. The product is ``_straighten`` of one factor plus each
+    weight of the other, counted with multiplicity. The factor with the
+    smaller spread ``w[0] - w[-1]`` supplies the weights:
+    ``weight_multiplicities`` gives each distinct one once, so a weight
+    costs one sort however many tableaux share it. When the dual of that
+    factor has the smaller partition, the duals are multiplied and the
+    result dualized. A factor of spread 0 is a power of the determinant
+    and only shifts the other. Returns a Counter mapping each highest
+    weight to its multiplicity.
     """
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
@@ -300,19 +347,42 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
     low = b[-1]
     if b[0] == low:
         return Counter({tuple(x + low for x in a): 1})
-    staircase = range(len(a), 0, -1)
-    base = [x + r + low for x, r in zip(a, staircase)]
-    out: Counter[Weight] = Counter()
-    for nu, multiplicity in weight_multiplicities([x - low for x in b], len(b)):
-        straightened = dominant_sort(map(operator.add, base, nu))
-        if straightened is not None:
-            inversions, w = straightened
-            out[tuple(map(operator.sub, w, staircase))] += (
-                -multiplicity if inversions % 2 else multiplicity
-            )
-    if any(m < 0 for m in out.values()):
-        raise ArithmeticError(f"negative multiplicity in {a} x {b}")
-    return +out
+    if _dual_is_smaller(b):
+        dual = tensor_weights(_dual(a), _dual(b))
+        return Counter({_dual(w): m for w, m in dual.items()})
+    return _straighten(
+        tuple(x + low for x in a), weight_multiplicities([x - low for x in b], len(b))
+    )
+
+
+@lru_cache(maxsize=WEDGE_CACHE_SIZE)
+def wedge_weights(w: Weight, j: int) -> Mapping[Weight, int]:
+    """The j-th exterior power of the GL(n) irreducible of dominant weight ``w``.
+
+    Sums the weights of every j-subset of a weight basis, listed with
+    multiplicity from ``weight_multiplicities``, and hands the character
+    to ``_straighten``. Like ``tensor_weights``, it works through the dual
+    when the dual's partition is smaller. Empty for j above the
+    dimension. ``w`` is a tuple, whose length is n, and the result is
+    cached on (w, j): a read-only mapping from each highest weight to its
+    multiplicity.
+    """
+    if j < 0:
+        raise ValueError("negative exterior power")
+    if not is_dominant(w):
+        raise ValueError(f"weight not dominant: {w}")
+    if _dual_is_smaller(w):
+        dual = wedge_weights(_dual(w), j)
+        return MappingProxyType(Counter({_dual(x): m for x, m in dual.items()}))
+    n, low = len(w), w[-1]
+    basis = [nu for nu, m in weight_multiplicities([x - low for x in w], n) for _ in range(m)]
+    # sums[i]: the weights of the i-subsets of the basis seen so far
+    sums = [Counter({(0,) * n: 1})] + [Counter() for _ in range(j)]
+    for nu in basis:
+        for i in range(j, 0, -1):
+            for mu, count in sums[i - 1].items():
+                sums[i][tuple(map(operator.add, mu, nu))] += count
+    return MappingProxyType(_straighten((j * low,) * n, sums[j].items()))
 
 
 def littlewood_richardson(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:

@@ -8,7 +8,10 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import bbwkoszul
+from bbwkoszul import weights
 
 
 def _lru_caches():
@@ -32,8 +35,17 @@ def test_every_lru_cache_is_bounded():
     assert {
         "bbwkoszul.weights._weyl_product",
         "bbwkoszul.weights._kostka",
+        "bbwkoszul.weights.wedge_weights",
         "bbwkoszul.koszul.koszul_analysis",
         "bbwkoszul.oracles.kostka_number",
     } <= set(caches)
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert not unbounded
+
+
+def test_wedge_weights_value_is_read_only():
+    assert weights.wedge_weights.cache_info().maxsize == weights.WEDGE_CACHE_SIZE
+    square = weights.wedge_weights((3, 0), 2)
+    with pytest.raises(TypeError):
+        square[(9, -3)] = 1
+    assert weights.wedge_weights((3, 0), 2) == {(5, 1): 1, (3, 3): 1}

@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -163,6 +164,12 @@ class TestWedge:
 
     def test_above_rank(self):
         assert wedge_class(named_class(GR27, "sym_cube"), 5).is_empty
+
+    def test_subbundle_rank_three(self):
+        gr37 = Grassmannian(3, 7)
+        sym3 = named_class(gr37, "sym_cube")
+        assert [wedge_class(sym3, j).rank() for j in range(11)] == [comb(10, j) for j in range(11)]
+        assert wedge_class(sym3, 11).is_empty
 
     def test_line_context(self):
         sym3 = named_class(P6, "sym_cube")

@@ -77,6 +77,15 @@ class TestBuildPage:
         with pytest.raises(ValueError):
             build_page(ctx, "e2", named_class(ctx, "tangent"))
 
+    def test_subbundle_rank_three(self):
+        # the Koszul terms on Gr(3, 7): the exterior powers 1..10 of the
+        # rank-10 cubic power of S, tensored with the rank-12 tangent class
+        ctx = Grassmannian(3, 7)
+        page = build_page(ctx, IDEAL_SHEAF, named_class(ctx, "tangent"))
+        assert sorted(page.terms) == list(range(-9, 1))
+        for p, term in page.terms.items():
+            assert term.rank() == 12 * comb(10, page.wedge_level(p))
+
 
 class TestAnalyze:
     def test_normal_side_determined_at_d6(self):

@@ -1,11 +1,13 @@
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bbwkoszul import oracles, weights
+from bbwkoszul.gl2 import wedge_power_gl2
 from bbwkoszul.oracles import kostka_number, schur_product_decomposition, ssyt_contents
 from bbwkoszul.weights import (
     as_partition,
@@ -15,6 +17,7 @@ from bbwkoszul.weights import (
     littlewood_richardson,
     partitions_of,
     tensor_weights,
+    wedge_weights,
     weight_multiplicities,
     weyl_dimension,
 )
@@ -228,6 +231,118 @@ class TestWeightMultiplicities:
         weights._kostka.cache_clear()
         tensor_weights(vector[: n // 2], wide[: n // 2 - 1] + (-5,))
         assert weights._kostka.cache_info().currsize == keys
+
+
+def dual(w):
+    return tuple(-x for x in reversed(w))
+
+
+@st.composite
+def weight_pair_strategy(draw, max_n=4, bound=4):
+    n = draw(st.integers(1, max_n))
+    entries = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return tuple(tuple(sorted(draw(entries), reverse=True)) for _ in range(2))
+
+
+class TestTensorWeights:
+    def test_dual_vector_on_many_letters(self):
+        # the covector's partition has 329 rows; its dual's has one box
+        n = 330
+        covector = (0,) * (n - 1) + (-1,)
+        adjoint = (1,) + (0,) * (n - 2) + (-1,)
+        product = tensor_weights(covector, adjoint)
+        assert product == Counter(
+            {
+                covector: 1,
+                (1,) + (0,) * (n - 3) + (-1, -1): 1,
+                (1,) + (0,) * (n - 2) + (-2,): 1,
+            }
+        )
+        assert sum(m * weyl_dimension(w) for w, m in product.items()) == n * (n * n - 1)
+
+    @given(weight_pair_strategy())
+    def test_duality(self, pair):
+        a, b = pair
+        product = tensor_weights(a, b)
+        assert product == Counter({dual(w): m for w, m in tensor_weights(dual(a), dual(b)).items()})
+        assert sum(m * weyl_dimension(w) for w, m in product.items()) == (
+            weyl_dimension(a) * weyl_dimension(b)
+        )
+
+
+def elementary_expansion(monomials, top):
+    """Coefficients of t^0..t^top in the product of (1 + t x^e) over the monomials x^e."""
+    powers = [Counter({(0,) * len(next(iter(monomials))): 1})] + [Counter() for _ in range(top)]
+    for exponent, count in monomials.items():
+        for _ in range(count):
+            for i in range(top, 0, -1):
+                for mono, c in powers[i - 1].items():
+                    powers[i][tuple(map(add, mono, exponent))] += c
+    return powers
+
+
+def alternant(exponent):
+    """The polynomial sum over permutations s of sign(s) x^(s(exponent))."""
+    out = Counter()
+    for order in permutations(range(len(exponent))):
+        inversions = sum(1 for i, k in combinations(order, 2) if i > k)
+        out[tuple(exponent[i] for i in order)] += (-1) ** inversions
+    return out
+
+
+def times(f, g):
+    out = Counter()
+    for e, c in f.items():
+        for h, d in g.items():
+            out[tuple(map(add, e, h))] += c * d
+    return {e: c for e, c in out.items() if c}
+
+
+class TestWedgeWeights:
+    def test_rank_two_reference(self):
+        for top in range(-4, 7):
+            for bottom in range(-4, top + 1):
+                for j in range(top - bottom + 3):
+                    assert wedge_weights((top, bottom), j) == wedge_power_gl2((top, bottom), j)
+
+    def test_against_tableau_monomials(self):
+        # e_j of the monomials of s_lambda, listed from tableaux, against the
+        # decomposition. Times the Vandermonde a_rho, each Schur polynomial
+        # s_mu becomes the alternant a_(mu + rho) (Jacobi's bialternant
+        # formula), so both sides are plain polynomial arithmetic: no
+        # straightening, and no tableau of the large shapes.
+        cases = 0
+        for size in range(4):
+            for shape in partitions_of(size):
+                for n in range(max(len(shape), 1), 5):
+                    staircase = tuple(range(n - 1, -1, -1))
+                    vandermonde = alternant(staircase)
+                    monomials = oracles._schur_monomials(shape, n)
+                    dim = sum(monomials.values())
+                    powers = elementary_expansion(monomials, dim + 1)
+                    padded = shape + (0,) * (n - len(shape))
+                    for j in range(dim + 2):
+                        alternants = Counter()
+                        for mu, m in wedge_weights(padded, j).items():
+                            for e, c in alternant(tuple(map(add, mu, staircase))).items():
+                                alternants[e] += m * c
+                        nonzero = {e: c for e, c in alternants.items() if c}
+                        assert times(powers[j], vandermonde) == nonzero, (shape, n, j)
+                        cases += 1
+        assert cases == 162
+
+    def test_negative_entries_and_duals(self):
+        # the dual of the cubic power in rank 3 goes through its dual
+        assert wedge_weights((0, 0, -3), 2) == {(0, -3, -3): 1, (0, -1, -5): 1}
+        assert wedge_weights((3, 0, 0), 2) == {(3, 3, 0): 1, (5, 1, 0): 1}
+        assert wedge_weights((2, 2, 2), 1) == {(2, 2, 2): 1}
+        assert wedge_weights((2, 2, 2), 2) == {}
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            wedge_weights((3, 0), -1)
+        with pytest.raises(ValueError):
+            wedge_weights((0, 3), 1)
 
 
 class TestLittlewoodRichardson:
