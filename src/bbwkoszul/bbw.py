@@ -17,6 +17,7 @@ presentations happen one level up, in the class calculus.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .weights import Weight, dominant_sort, is_dominant, weyl_dimension
@@ -110,9 +111,9 @@ class CohomologyProfile:
 
     def __init__(self, n: int, groups: dict[int, dict[Weight, int]] | None = None):
         self.n = n
-        store: dict[int, Counter[Weight]] = {}
+        store: dict[int, dict[Weight, int]] = {}
         for q, ws in (groups or {}).items():
-            c = Counter()
+            c: dict[Weight, int] = {}
             for w, m in ws.items():
                 w = tuple(w)
                 if len(w) != n or not is_dominant(w):
@@ -120,7 +121,7 @@ class CohomologyProfile:
                 if m < 0:
                     raise ValueError("negative multiplicity")
                 if m:
-                    c[w] += m
+                    c[w] = c.get(w, 0) + m
             if c:
                 store[q] = c
         self._groups = store
@@ -132,8 +133,14 @@ class CohomologyProfile:
     def degrees(self) -> list[int]:
         return sorted(self._groups)
 
+    def entries(self) -> Iterator[tuple[int, Weight, int]]:
+        """Each (degree, weight, multiplicity) of the profile, read in place, not copied."""
+        for q, group in self._groups.items():
+            for w, m in group.items():
+                yield q, w, m
+
     def weights(self, q: int) -> Counter[Weight]:
-        return Counter(self._groups.get(q, Counter()))
+        return Counter(self._groups.get(q, {}))
 
     def constituents(self, q: int) -> frozenset[Weight]:
         return frozenset(self._groups.get(q, ()))

@@ -90,13 +90,11 @@ class EquivariantClass:
         return EquivariantClass(self.ctx, total)
 
     def cohomology(self) -> CohomologyProfile:
-        groups: dict[int, Counter[Weight]] = {}
+        groups: dict[int, dict[Weight, int]] = {}
         for b, m in self._summands.items():
-            part = bbw_cohomology(self.ctx, b)
-            for q in part.degrees():
-                group = groups.setdefault(q, Counter())
-                for w, c in part.weights(q).items():
-                    group[w] += m * c
+            for q, w, c in bbw_cohomology(self.ctx, b).entries():
+                group = groups.setdefault(q, {})
+                group[w] = group.get(w, 0) + m * c
         return CohomologyProfile(self.ctx.n, groups)
 
     def euler_characteristic(self) -> int:

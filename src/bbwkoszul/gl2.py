@@ -41,11 +41,25 @@ def gl2_character(weight: Iterable[int]) -> LaurentCharacter:
 
 
 def character_product(c1: LaurentCharacter, c2: LaurentCharacter) -> LaurentCharacter:
-    out: Counter[ExponentPair] = Counter()
+    # plain-dict accumulation: Counter.__missing__ is a Python call per new key
+    out: LaurentCharacter = {}
     for (x1, y1), m1 in c1.items():
         for (x2, y2), m2 in c2.items():
-            out[(x1 + x2, y1 + y2)] += m1 * m2
+            key = (x1 + x2, y1 + y2)
+            out[key] = out.get(key, 0) + m1 * m2
     return {k: v for k, v in out.items() if v}
+
+
+def _subset_sums(subsets: Iterable[tuple[ExponentPair, ...]]) -> LaurentCharacter:
+    """The character whose monomials are the products of the given monomial subsets."""
+    char: LaurentCharacter = {}
+    for subset in subsets:
+        x = y = 0
+        for mx, my in subset:
+            x += mx
+            y += my
+        char[(x, y)] = char.get((x, y), 0) + 1
+    return char
 
 
 def decompose_gl2_character(char: LaurentCharacter) -> Counter[Weight]:
@@ -95,11 +109,7 @@ def wedge_power_gl2(weight: Iterable[int], k: int) -> Counter[Weight]:
     w = _check_gl2(weight)
     if k < 0:
         raise ValueError("negative exterior power")
-    monos = sorted(gl2_character(w))
-    char: Counter[ExponentPair] = Counter()
-    for subset in combinations(monos, k):
-        char[(sum(m[0] for m in subset), sum(m[1] for m in subset))] += 1
-    return decompose_gl2_character(char)
+    return decompose_gl2_character(_subset_sums(combinations(sorted(gl2_character(w)), k)))
 
 
 def sym_power_gl2(weight: Iterable[int], k: int) -> Counter[Weight]:
@@ -107,8 +117,6 @@ def sym_power_gl2(weight: Iterable[int], k: int) -> Counter[Weight]:
     w = _check_gl2(weight)
     if k < 0:
         raise ValueError("negative symmetric power")
-    monos = sorted(gl2_character(w))
-    char: Counter[ExponentPair] = Counter()
-    for subset in combinations_with_replacement(monos, k):
-        char[(sum(m[0] for m in subset), sum(m[1] for m in subset))] += 1
-    return decompose_gl2_character(char)
+    return decompose_gl2_character(
+        _subset_sums(combinations_with_replacement(sorted(gl2_character(w)), k))
+    )

@@ -325,24 +325,37 @@ def _dual_is_smaller(w: Weight) -> bool:
     return len(w) * (w[0] + w[-1]) < 2 * sum(w)
 
 
+def _listing_cost(w: Weight) -> tuple[int, int]:
+    """The boxes of the smaller of the partitions of w and of its dual, then the spread.
+
+    The partition of w is w - w[-1] and that of its dual w[0] - reversed(w);
+    a factor and its dual have the same spread w[0] - w[-1].
+    """
+    n, total = len(w), sum(w)
+    return min(total - n * w[-1], n * w[0] - total), w[0] - w[-1]
+
+
 def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
     """Decompose the tensor product of two GL(n) irreducibles (Brauer-Klimyk).
 
     ``a`` and ``b`` are dominant weights of the same length n; entries may
     be negative. The product is ``_straighten`` of one factor plus each
-    weight of the other, counted with multiplicity. The factor with the
-    smaller spread ``w[0] - w[-1]`` supplies the weights:
-    ``weight_multiplicities`` gives each distinct one once, so a weight
-    costs one sort however many tableaux share it. When the dual of that
-    factor has the smaller partition, the duals are multiplied and the
-    result dualized. A factor of spread 0 is a power of the determinant
-    and only shifts the other. Returns a Counter mapping each highest
-    weight to its multiplicity.
+    weight of the other, counted with multiplicity. The weights come from
+    the partition with the fewest boxes among those of a, b and their
+    duals, ties going to the factor with the smaller spread
+    ``w[0] - w[-1]``: the boxes bound the number of weights, so
+    Sym^2 V (x) wedge^(n/2) V lists the n(n+1)/2 weights of Sym^2 V, not
+    the C(n, n/2) of the exterior power. ``weight_multiplicities`` gives
+    each distinct weight once, so a weight costs one sort however many
+    tableaux share it. When that partition is a dual's, the duals are
+    multiplied and the result dualized. A factor of spread 0 is a power of
+    the determinant and only shifts the other. Returns a Counter mapping
+    each highest weight to its multiplicity.
     """
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ValueError(f"weights of different lengths: {a}, {b}")
-    if a[0] - a[-1] < b[0] - b[-1]:
+    if _listing_cost(a) < _listing_cost(b):
         a, b = b, a
     low = b[-1]
     if b[0] == low:

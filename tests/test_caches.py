@@ -4,14 +4,17 @@ An ``lru_cache`` with ``maxsize=None`` grows for the life of the process,
 so a long-lived caller that runs many reports would grow without limit.
 """
 
+import gc
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
 
 import pytest
 
 import bbwkoszul
 from bbwkoszul import weights
+from bbwkoszul.checks import run_checks
 
 
 def _lru_caches():
@@ -49,3 +52,18 @@ def test_wedge_weights_value_is_read_only():
     with pytest.raises(TypeError):
         square[(9, -3)] = 1
     assert weights.wedge_weights((3, 0), 2) == {(5, 1): 1, (3, 3): 1}
+
+
+def test_repeated_reports_reach_a_plateau():
+    # the caches fill on the first pass; later passes must not grow. One
+    # retained d = 3..6 report is about 45 KB, so the margin catches it
+    readings = []
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            run_checks(3, 6)
+            gc.collect()
+            readings.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert readings[3] - readings[1] < 16 * 1024, readings

@@ -260,6 +260,23 @@ class TestTensorWeights:
         )
         assert sum(m * weyl_dimension(w) for w, m in product.items()) == n * (n * n - 1)
 
+    def test_weights_come_from_the_factor_with_fewest_boxes(self, monkeypatch):
+        # Sym^2 V (x) wedge^10 V at n = 20: the exterior power has the
+        # smaller spread, but Sym^2 V has 2 boxes against 10
+        n = 20
+        sym2 = (2,) + (0,) * (n - 1)
+        wedge10 = (1,) * 10 + (0,) * 10
+        listed = []
+
+        def spy(shape, n):
+            listed.append(tuple(shape))
+            return weight_multiplicities(shape, n)
+
+        monkeypatch.setattr(weights, "weight_multiplicities", spy)
+        product = tensor_weights(wedge10, sym2)
+        assert listed == [sym2]
+        assert product == Counter({(3,) + (1,) * 9 + (0,) * 10: 1, (2,) + (1,) * 10 + (0,) * 9: 1})
+
     @given(weight_pair_strategy())
     def test_duality(self, pair):
         a, b = pair
