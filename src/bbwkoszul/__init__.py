@@ -26,15 +26,6 @@ from .classes import (
     serre_check,
     wedge_class,
 )
-from .gl2 import (
-    NotDecomposableError,
-    character_product,
-    decompose_gl2_character,
-    gl2_character,
-    gl2_tensor,
-    sym_power_gl2,
-    wedge_power_gl2,
-)
 from .koszul import (
     AXIOMS,
     IDEAL_SHEAF,
@@ -81,7 +72,6 @@ __all__ = [
     "IDEAL_SHEAF",
     "KoszulAnalysis",
     "KoszulPage",
-    "NotDecomposableError",
     "RESTRICTION",
     "Report",
     "UnderdeterminedError",
@@ -91,15 +81,11 @@ __all__ = [
     "build_page",
     "bundle_rank",
     "canonical_bundle",
-    "character_product",
     "count_ssyt",
-    "decompose_gl2_character",
     "deformation_numbers",
     "det_shift",
     "dominant_sort",
     "euler_consistency",
-    "gl2_character",
-    "gl2_tensor",
     "ideal_sheaf_cohomology",
     "is_dominant",
     "koszul_analysis",
@@ -111,9 +97,7 @@ __all__ = [
     "rho",
     "run_checks",
     "serre_check",
-    "sym_power_gl2",
     "verify_claimed_decompositions",
     "wedge_class",
-    "wedge_power_gl2",
     "weyl_dimension",
 ]

@@ -303,11 +303,7 @@ def _run_remark_d34(d: int, _exp: dict):
         analysis = koszul_analysis(ctx, named_class(ctx, name))
         computed[name] = {
             "nonzero_entries": [list(entry) for entry in analysis.page.nonzero_entries()],
-            "ideal_verdicts": {
-                str(m): v.to_dict()
-                for m, v in sorted(analysis.verdicts.items())
-                if v.upper_bound or not v.determined
-            },
+            "ideal_verdicts": {str(m): v.to_dict() for m, v in analysis.verdicts.items()},
             "restricted": {
                 str(m): _dv(value)
                 for m, value in enumerate(analysis.restricted)

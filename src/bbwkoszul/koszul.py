@@ -85,10 +85,6 @@ class KoszulPage(NamedTuple):
     def p_min(self) -> int:
         return min(self.columns)
 
-    @property
-    def q_max(self) -> int:
-        return self.ctx.dimension
-
     def wedge_level(self, p: int) -> int:
         return _wedge_level(self.variant, p)
 
@@ -179,7 +175,9 @@ def _entry_blocking(page: KoszulPage, p: int, q: int) -> tuple[BlockingPair, ...
 def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
     """Per-total-degree verdicts about the abutment of the page.
 
-    A degree is determined exactly when every contributing entry is
+    Only a total degree with a nonzero entry gets a verdict, in increasing
+    order; the abutment vanishes in every other degree. A degree is
+    determined exactly when every contributing entry is
     differential-isolated; its dimension is then the plain sum of the
     entry dimensions.
     """
@@ -187,11 +185,7 @@ def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
     for p, q, dim in page.nonzero_entries():
         by_degree.setdefault(p + q, []).append((p, q, dim))
     verdicts: dict[int, DegreeVerdict] = {}
-    for m in range(page.p_min, page.q_max + 1):
-        entries = by_degree.get(m)
-        if entries is None:
-            verdicts[m] = DegreeVerdict(m, True, 0, 0)
-            continue
+    for m, entries in sorted(by_degree.items()):
         upper = sum(dim for _, _, dim in entries)
         blocking = [pair for p, q, _ in entries for pair in _entry_blocking(page, p, q)]
         if blocking:
@@ -275,7 +269,7 @@ def koszul_analysis(ctx: Grassmannian, coefficient: EquivariantClass) -> KoszulA
     live = set(ambient_dim)
     ideal = [zero] * (top + 2)
     for m, v in verdicts.items():
-        if v.upper_bound and 0 <= m <= top:
+        if 0 <= m <= top:
             ideal[m] = DimValue.of(v.dimension) if v.determined else DimValue(0, v.upper_bound)
             live.update((m - 1, m))
 

@@ -4,7 +4,10 @@ Nothing here is used by the computation paths. Each function re-derives a
 quantity along a second route (monomial expansions, explicit tableau
 counts, randomized duality sweeps) so the test suite and the `oracles`
 check can compare the two routes. Keeping both routes alive is the point;
-do not "simplify" one into the other.
+do not "simplify" one into the other. The rank-2 character calculus
+(Clebsch-Gordan products, exterior and symmetric powers by character
+peeling) lives here too: it is the reference the rank-2 results of
+``weights`` are compared against.
 """
 
 from __future__ import annotations
@@ -194,39 +197,126 @@ def schur_product_decomposition(a, b) -> Counter[Weight]:
     return out
 
 
-def monomials_of_gl2(weight) -> list[tuple[int, int]]:
-    a, b = tuple(weight)
-    return [(a - j, b + j) for j in range(a - b + 1)]
+# ---------------------------------------------------------------------------
+# rank-2 character calculus
+#
+# A Laurent character is a dict from exponent pairs (a, b) to positive
+# integer multiplicities; the irreducible of highest weight (w1, w2) has
+# the w1-w2+1 monomials x^(w1-j) y^(w2+j). Exterior and symmetric powers
+# are expanded monomial by monomial and peeled greedily back into
+# irreducibles; products follow Clebsch-Gordan in closed form. The
+# engine takes these powers and products from ``weights`` instead.
+
+ExponentPair = tuple[int, int]
+LaurentCharacter = dict[ExponentPair, int]
 
 
-def _subset_character(subsets: Iterable[tuple[tuple[int, int], ...]]) -> Counter[tuple[int, int]]:
+class NotDecomposableError(ValueError):
+    """A character that is not a non-negative sum of irreducible rank-2 characters."""
+
+
+def _check_gl2(weight: Iterable[int]) -> ExponentPair:
+    w = tuple(weight)
+    if len(w) != 2 or w[0] < w[1]:
+        raise ValueError(f"need a dominant length-2 weight, got {w}")
+    return w  # type: ignore[return-value]
+
+
+def gl2_character(weight: Iterable[int]) -> LaurentCharacter:
+    """Character of the rank-2 irreducible with the given highest weight."""
+    a, b = _check_gl2(weight)
+    return {(a - j, b + j): 1 for j in range(a - b + 1)}
+
+
+def _subset_character(subsets: Iterable[tuple[ExponentPair, ...]]) -> LaurentCharacter:
+    """The character whose monomials are the products of the given monomial subsets."""
     # plain-dict accumulation: Counter.__missing__ is a Python call per new key
-    out: dict[tuple[int, int], int] = {}
+    out: LaurentCharacter = {}
     for subset in subsets:
         x = y = 0
         for mx, my in subset:
             x += mx
             y += my
         out[(x, y)] = out.get((x, y), 0) + 1
-    return Counter(out)
+    return out
 
 
-def elementary_character(weight, k: int) -> Counter[tuple[int, int]]:
+def elementary_character(weight: Iterable[int], k: int) -> LaurentCharacter:
     """Character of the k-th exterior power, straight from monomial k-subsets."""
-    return _subset_character(combinations(monomials_of_gl2(weight), k))
+    return _subset_character(combinations(gl2_character(weight), k))
 
 
-def homogeneous_character(weight, k: int) -> Counter[tuple[int, int]]:
+def homogeneous_character(weight: Iterable[int], k: int) -> LaurentCharacter:
     """Character of the k-th symmetric power, from monomial k-multisets."""
-    return _subset_character(combinations_with_replacement(monomials_of_gl2(weight), k))
+    return _subset_character(combinations_with_replacement(gl2_character(weight), k))
 
 
-def character_of_combination(parts: Mapping[Weight, int]) -> Counter[tuple[int, int]]:
-    out: dict[tuple[int, int], int] = {}
+def character_of_combination(parts: Mapping[Weight, int]) -> LaurentCharacter:
+    out: LaurentCharacter = {}
     for w, m in parts.items():
-        for mono in monomials_of_gl2(w):
+        for mono in gl2_character(w):
             out[mono] = out.get(mono, 0) + m
-    return Counter(out)
+    return out
+
+
+def character_product(c1: LaurentCharacter, c2: LaurentCharacter) -> LaurentCharacter:
+    out: LaurentCharacter = {}
+    for (x1, y1), m1 in c1.items():
+        for (x2, y2), m2 in c2.items():
+            key = (x1 + x2, y1 + y2)
+            out[key] = out.get(key, 0) + m1 * m2
+    return {k: v for k, v in out.items() if v}
+
+
+def decompose_gl2_character(char: LaurentCharacter) -> Counter[Weight]:
+    """Peel a character into irreducibles, always from the lex-largest exponent.
+
+    The leading monomial of an irreducible character is its highest weight,
+    so the peel is canonical. Raises NotDecomposableError if a peel step
+    meets a negative multiplicity or a non-dominant leading exponent.
+    """
+    work = {k: v for k, v in char.items() if v}
+    out: Counter[Weight] = Counter()
+    while work:
+        top = max(work)
+        mult = work[top]
+        if mult < 0 or top[0] < top[1]:
+            raise NotDecomposableError(f"cannot peel leading term {top} x{mult}")
+        out[top] += mult
+        for mono in gl2_character(top):
+            v = work.get(mono, 0) - mult
+            if v:
+                work[mono] = v
+            else:
+                work.pop(mono, None)
+    return out
+
+
+def gl2_tensor(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
+    """Clebsch-Gordan decomposition of a tensor product of rank-2 irreducibles.
+
+    The summands are (a1+b1-k, a2+b2+k) for 0 <= k <= min(a1-a2, b1-b2),
+    each with multiplicity one. The class calculus multiplies subbundle
+    factors with ``weights.tensor_weights`` instead; this closed form is
+    the reference its rank-2 products are tested against.
+    """
+    wa, wb = _check_gl2(a), _check_gl2(b)
+    top = min(wa[0] - wa[1], wb[0] - wb[1])
+    return Counter({(wa[0] + wb[0] - k, wa[1] + wb[1] + k): 1 for k in range(top + 1)})
+
+
+def wedge_power_gl2(weight: Iterable[int], k: int) -> Counter[Weight]:
+    """k-th exterior power of a rank-2 irreducible, as a sum of irreducibles.
+
+    Peels the elementary character. Empty for k above the dimension;
+    total dimension is binomial(w1-w2+1, k).
+    """
+    return decompose_gl2_character(elementary_character(weight, k))
+
+
+def sym_power_gl2(weight: Iterable[int], k: int) -> Counter[Weight]:
+    """k-th symmetric power of a rank-2 irreducible, peeled from the homogeneous character."""
+    return decompose_gl2_character(homogeneous_character(weight, k))
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +361,6 @@ def lr_suite(max_size: int) -> dict:
 
 def gl2_suite(max_diff: int) -> dict:
     """Clebsch-Gordan and plethysm identities against raw character arithmetic."""
-    from .gl2 import (
-        NotDecomposableError,
-        character_product,
-        gl2_character,
-        gl2_tensor,
-        sym_power_gl2,
-        wedge_power_gl2,
-    )
-
     def peeled(power, w: Weight, k: int) -> Counter[Weight]:
         try:
             return power(w, k)
@@ -300,7 +381,7 @@ def gl2_suite(max_diff: int) -> dict:
                     product = gl2_tensor(a, b)
                     cases += 1
                     lhs = character_product(characters[a], characters[b])
-                    rhs = dict(character_of_combination(product))
+                    rhs = character_of_combination(product)
                     dims = sum(w[0] - w[1] + 1 for w in product.elements())
                     if lhs != rhs or dims != (da + 1) * (db + 1):
                         failures.append({"a": list(a), "b": list(b)})
@@ -311,7 +392,7 @@ def gl2_suite(max_diff: int) -> dict:
             for k in range(d + 2):
                 parts = peeled(wedge_power_gl2, w, k)
                 cases += 1
-                if dict(character_of_combination(parts)) != dict(elementary_character(w, k)):
+                if character_of_combination(parts) != elementary_character(w, k):
                     failures.append({"w": list(w), "wedge": k})
                 wedge_dims += sum(x[0] - x[1] + 1 for x in parts.elements())
             cases += 1
@@ -320,7 +401,7 @@ def gl2_suite(max_diff: int) -> dict:
             for k in range(4):
                 parts = peeled(sym_power_gl2, w, k)
                 cases += 1
-                if dict(character_of_combination(parts)) != dict(homogeneous_character(w, k)):
+                if character_of_combination(parts) != homogeneous_character(w, k):
                     failures.append({"w": list(w), "sym": k})
     return {"cases": cases, "failures": failures}
 

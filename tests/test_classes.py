@@ -11,9 +11,8 @@ from bbwkoszul.classes import (
     named_class,
     wedge_class,
 )
-from bbwkoszul.gl2 import gl2_tensor
 from bbwkoszul.koszul import verify_claimed_decompositions
-from bbwkoszul.oracles import schur_product_decomposition
+from bbwkoszul.oracles import gl2_tensor, schur_product_decomposition
 
 GR27 = Grassmannian(2, 7)
 P6 = Grassmannian.projective_space(7)

@@ -4,19 +4,17 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from bbwkoszul.gl2 import (
+from bbwkoszul.oracles import (
     NotDecomposableError,
+    character_of_combination,
     character_product,
     decompose_gl2_character,
+    elementary_character,
     gl2_character,
     gl2_tensor,
+    homogeneous_character,
     sym_power_gl2,
     wedge_power_gl2,
-)
-from bbwkoszul.oracles import (
-    character_of_combination,
-    elementary_character,
-    homogeneous_character,
 )
 
 

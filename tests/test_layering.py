@@ -1,9 +1,11 @@
-"""The engine computes without the rank-2 character calculus.
+"""No module of the package imports ``bbwkoszul.gl2``.
 
-``bbwkoszul.gl2`` is a reference: the oracles and the tests compare the
-engine against it, so an engine module that imported it would compare the
-reference with itself. Only the package root, which re-exports it, and
-the oracles may import it.
+``gl2`` is only an alias of two ``oracles`` names, kept because the
+benchmark's tracer wraps them by that module path. The rank-2 calculus
+itself is part of the second route in ``oracles``: an engine module that
+imported it would compare the reference with itself, ``oracles``
+importing ``gl2`` would be a cycle, and the package root exports no
+reference code.
 """
 
 import ast
@@ -12,8 +14,6 @@ from pathlib import Path
 import pytest
 
 import bbwkoszul
-
-ALLOWED = {"__init__.py", "oracles.py", "gl2.py"}
 
 
 def _imports_gl2(tree: ast.AST) -> bool:
@@ -47,6 +47,6 @@ def test_only_the_reference_layers_import_gl2():
     offenders = [
         path.name
         for path in sorted(package.glob("*.py"))
-        if path.name not in ALLOWED and _imports_gl2(ast.parse(path.read_text()))
+        if _imports_gl2(ast.parse(path.read_text()))
     ]
     assert offenders == []

@@ -4,7 +4,7 @@ Each mutant corrupts one input of a suite's second route; the suite must
 then report failed cases rather than pass or raise.
 """
 
-from bbwkoszul import gl2, oracles
+from bbwkoszul import oracles
 
 
 def _drop_lowest(monomials):
@@ -27,10 +27,13 @@ def test_lr_suite_reports_a_dropped_schur_monomial(monkeypatch):
 
 
 def test_gl2_suite_reports_a_corrupt_cached_character(monkeypatch):
-    assert oracles.gl2_suite(3)["failures"] == []
-    original = gl2.gl2_character
-    monkeypatch.setattr(gl2, "gl2_character", lambda weight: _drop_lowest(original(weight)))
+    clean = oracles.gl2_suite(3)
+    assert clean["failures"] == []
+    original = oracles.gl2_character
+    monkeypatch.setattr(oracles, "gl2_character", lambda weight: _drop_lowest(original(weight)))
     report = oracles.gl2_suite(3)
-    # the products read the characters the suite built once
+    # every character and every peel reads the one builder; the products
+    # read the characters the suite built once, and no case is lost
+    assert report["cases"] == clean["cases"]
     assert any("a" in failure for failure in report["failures"])
 

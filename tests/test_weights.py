@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bbwkoszul import oracles, weights
-from bbwkoszul.gl2 import wedge_power_gl2
-from bbwkoszul.oracles import kostka_number, schur_product_decomposition, ssyt_contents
+from bbwkoszul.oracles import (
+    kostka_number,
+    schur_product_decomposition,
+    ssyt_contents,
+    wedge_power_gl2,
+)
 from bbwkoszul.weights import (
     as_partition,
     count_ssyt,
