@@ -7,7 +7,14 @@ weight first), add the staircase (n, n-1, ..., 1), and try to sort the
 result strictly decreasingly. A repeated entry kills every cohomology
 group. Otherwise exactly one group survives, in the degree given by the
 number of inversions removed by the sort, and its GL(V) highest weight is
-the sorted sequence minus the staircase.
+the sorted sequence minus the staircase. Both shifted parts are already
+strictly decreasing, so ``bbw_cohomology`` places only the k subbundle
+entries, by bisection; ``weights.dominant_sort`` stays the straightening
+rule of products.
+
+Values are checked where they enter: ``bbw_cohomology`` validates its
+bundle and a ``CohomologyProfile`` built by hand validates its weights.
+The profiles the engine builds itself skip that second check.
 
 The full GL(V)-equivariant weight is always tracked; the determinant of V
 is never trivialized here. Comparisons against determinant-twisted
@@ -16,11 +23,12 @@ presentations happen one level up, in the class calculus.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .weights import Weight, dominant_sort, is_dominant, weyl_dimension
+from .weights import Weight, is_dominant, weyl_dimension
 
 
 class _GrassmannianFields(NamedTuple):
@@ -126,6 +134,14 @@ class CohomologyProfile:
                 store[q] = c
         self._groups = store
 
+    @classmethod
+    def _trusted(cls, n: int, groups: dict[int, dict[Weight, int]]) -> "CohomologyProfile":
+        """A profile the engine built: dominant weights, positive multiplicities, no empty group."""
+        profile = object.__new__(cls)
+        profile.n = n
+        profile._groups = groups
+        return profile
+
     @property
     def is_empty(self) -> bool:
         return not self._groups
@@ -170,16 +186,29 @@ class CohomologyProfile:
 
 
 def bbw_cohomology(ctx: Grassmannian, bundle: Bundle) -> CohomologyProfile:
-    """All cohomology of one irreducible bundle: empty, or a single group."""
+    """All cohomology of one irreducible bundle: empty, or a single group.
+
+    The quotient part lam_q + (n, ..., k+1) of the shifted weight is
+    already strictly decreasing, and so is the subbundle part
+    mu_s + (k, ..., 1). So each of the k subbundle entries is placed into
+    the quotient part by bisection: a tie is a collision, and the entry
+    contributes one inversion for each quotient entry smaller than it.
+    """
     validate_bundle(ctx, bundle)
-    nu = bundle.lam_q + bundle.mu_s
-    staircase = rho(ctx.n)
-    outcome = dominant_sort(tuple(x + r for x, r in zip(nu, staircase)))
-    if outcome is None:
-        return CohomologyProfile(ctx.n)
-    degree, sorted_weight = outcome
-    glweight = tuple(x - r for x, r in zip(sorted_weight, staircase))
-    return CohomologyProfile(ctx.n, {degree: {glweight: 1}})
+    n, k = ctx.n, ctx.k
+    # both parts in ascending order, the quotient part as the bisection target
+    quotient = [x + r for x, r in zip(reversed(bundle.lam_q), range(k + 1, n + 1))]
+    merged = quotient[:]
+    degree = 0
+    for i, x in enumerate(reversed(bundle.mu_s)):
+        entry = x + i + 1
+        at = bisect_left(quotient, entry)
+        if at < len(quotient) and quotient[at] == entry:
+            return CohomologyProfile._trusted(n, {})
+        degree += at
+        merged.insert(at + i, entry)  # the i subbundle entries placed so far are smaller
+    glweight = tuple(x - r for x, r in zip(reversed(merged), range(n, 0, -1)))
+    return CohomologyProfile._trusted(n, {degree: {glweight: 1}})
 
 
 def canonical_bundle(ctx: Grassmannian) -> Bundle:

@@ -7,12 +7,15 @@ Everything here is exact integer arithmetic: dimensions come from an
 integer product formula or from Kostka numbers, never from floating
 point.
 
-``dominant_sort`` is the one straightening rule. Borel-Weil-Bott sorts a
-weight plus the staircase with it. ``_straighten`` applies the same sort
-to a character given by its weights (Weyl's rule), and both products of
-irreducibles go through it: ``tensor_weights`` feeds it one factor plus
-each weight of the other (Brauer-Klimyk), and ``wedge_weights`` feeds it
-the sums of the j-subsets of the weights of one irreducible.
+``dominant_sort`` is the straightening rule of products. ``_straighten``
+applies it to a character given by its weights (Weyl's rule), and both
+products of irreducibles go through it: ``tensor_weights`` feeds it one
+factor plus each weight of the other (Brauer-Klimyk), and
+``wedge_weights`` feeds it the sums of the j-subsets of the weights of
+one irreducible. Borel-Weil-Bott needs no full sort: ``bbw`` places the
+k subbundle entries into the quotient part, which the staircase already
+leaves in order. Both products are cached on their arguments, and the
+cached values are read-only mappings that callers share.
 ``weight_multiplicities`` lists the weights of a factor, each distinct
 weight once: the rearrangements of every dominant weight mu below the
 highest one, with the Kostka number of mu as multiplicity. No tableau is
@@ -37,11 +40,15 @@ Weight = tuple[int, ...]
 # per run: 125 for the default report, 124 for lr_suite(6) and 497 for
 # ssyt_weyl_suite(8, 6). Exterior-power keys measured per run: 7 for the
 # default report (powers 0..4 of the cubic power of a rank-2 subbundle,
-# 0..1 of a line subbundle) and 5 for a 50-d paper sweep. The bounds keep
-# a long-lived process from growing without limit.
+# 0..1 of a line subbundle) and 7 for a 50-d paper sweep, whose top powers
+# reach the low ones through duality. Tensor-product keys (a, b) measured
+# per run: 521 for the default report, 166 for a 50-d paper sweep, 16 for
+# one theorem-moduli d and 303 for serre_suite(60). The bounds keep a
+# long-lived process from growing without limit.
 WEYL_CACHE_SIZE = 1024
 KOSTKA_CACHE_SIZE = 1024
 WEDGE_CACHE_SIZE = 256
+TENSOR_CACHE_SIZE = 1024
 
 
 def is_dominant(weight: Iterable[int]) -> bool:
@@ -335,7 +342,7 @@ def _listing_cost(w: Weight) -> tuple[int, int]:
     return min(total - n * w[-1], n * w[0] - total), w[0] - w[-1]
 
 
-def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
+def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Mapping[Weight, int]:
     """Decompose the tensor product of two GL(n) irreducibles (Brauer-Klimyk).
 
     ``a`` and ``b`` are dominant weights of the same length n; entries may
@@ -349,22 +356,28 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]:
     each distinct weight once, so a weight costs one sort however many
     tableaux share it. When that partition is a dual's, the duals are
     multiplied and the result dualized. A factor of spread 0 is a power of
-    the determinant and only shifts the other. Returns a Counter mapping
-    each highest weight to its multiplicity.
+    the determinant and only shifts the other. Returns a read-only mapping
+    from each highest weight to its multiplicity, cached on (a, b).
     """
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ValueError(f"weights of different lengths: {a}, {b}")
+    return _tensor_product(a, b)
+
+
+@lru_cache(maxsize=TENSOR_CACHE_SIZE)
+def _tensor_product(a: Weight, b: Weight) -> Mapping[Weight, int]:
+    """``tensor_weights`` on two tuples of one length."""
     if _listing_cost(a) < _listing_cost(b):
         a, b = b, a
     low = b[-1]
     if b[0] == low:
-        return Counter({tuple(x + low for x in a): 1})
+        return MappingProxyType(Counter({tuple(x + low for x in a): 1}))
     if _dual_is_smaller(b):
-        dual = tensor_weights(_dual(a), _dual(b))
-        return Counter({_dual(w): m for w, m in dual.items()})
-    return _straighten(
-        tuple(x + low for x in a), weight_multiplicities([x - low for x in b], len(b))
+        dual = _tensor_product(_dual(a), _dual(b))
+        return MappingProxyType(Counter({_dual(w): m for w, m in dual.items()}))
+    return MappingProxyType(
+        _straighten(tuple(x + low for x in a), weight_multiplicities([x - low for x in b], len(b)))
     )
 
 
@@ -375,10 +388,13 @@ def wedge_weights(w: Weight, j: int) -> Mapping[Weight, int]:
     Sums the weights of every j-subset of a weight basis, listed with
     multiplicity from ``weight_multiplicities``, and hands the character
     to ``_straighten``. Like ``tensor_weights``, it works through the dual
-    when the dual's partition is smaller. Empty for j above the
-    dimension. ``w`` is a tuple, whose length is n, and the result is
-    cached on (w, j): a read-only mapping from each highest weight to its
-    multiplicity.
+    when the dual's partition is smaller. Above half the dimension it
+    uses the duality of the powers, wedge^j V = (wedge^(dim-j) V)* (x)
+    wedge^dim V, whose last factor is the constant weight
+    sum(w) * dim / n: the largest layer of subset sums is the one at
+    dim/2. Empty for j above the dimension. ``w`` is a tuple, whose
+    length is n, and the result is cached on (w, j): a read-only mapping
+    from each highest weight to its multiplicity.
     """
     if j < 0:
         raise ValueError("negative exterior power")
@@ -389,6 +405,15 @@ def wedge_weights(w: Weight, j: int) -> Mapping[Weight, int]:
         return MappingProxyType(Counter({_dual(x): m for x, m in dual.items()}))
     n, low = len(w), w[-1]
     basis = [nu for nu, m in weight_multiplicities([x - low for x in w], n) for _ in range(m)]
+    dim = len(basis)
+    if j > dim:
+        return MappingProxyType(Counter())
+    if 2 * j > dim:
+        top = sum(w) * dim // n
+        partner = wedge_weights(w, dim - j)
+        return MappingProxyType(
+            Counter({tuple(top - x for x in reversed(mu)): m for mu, m in partner.items()})
+        )
     # sums[i]: the weights of the i-subsets of the basis seen so far
     sums = [Counter({(0,) * n: 1})] + [Counter() for _ in range(j)]
     for nu in basis:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bbwkoszul.bbw import (
     Bundle,
@@ -14,6 +15,7 @@ from bbwkoszul.bbw import (
 from bbwkoszul import classes
 from bbwkoszul.classes import serre_check
 from bbwkoszul.oracles import random_bundle
+from bbwkoszul.weights import dominant_sort
 
 GR27 = Grassmannian(2, 7)
 
@@ -65,6 +67,63 @@ class TestSingleBundles:
             bbw_cohomology(GR27, Bundle((1, 0), (0, 0)))
         with pytest.raises(ValueError):
             bbw_cohomology(GR27, Bundle((0, 1, 0, 0, 0), (0, 0)))
+        with pytest.raises(ValueError):
+            bbw_cohomology(GR27, Bundle((0,) * 5, (0, 0, 0)))
+        with pytest.raises(ValueError):
+            bbw_cohomology(GR27, Bundle((0,) * 5, (-1, 2)))
+
+
+def sorted_route(ctx, bundle):
+    """BBW by sorting all n entries of the staircase-shifted concatenation."""
+    staircase = rho(ctx.n)
+    outcome = dominant_sort(map(sum, zip(bundle.lam_q + bundle.mu_s, staircase)))
+    if outcome is None:
+        return CohomologyProfile(ctx.n)
+    degree, arranged = outcome
+    return CohomologyProfile(
+        ctx.n, {degree: {tuple(x - r for x, r in zip(arranged, staircase)): 1}}
+    )
+
+
+@st.composite
+def bundles_on_grassmannians(draw):
+    # entries in a narrow band, so that collisions and ties are common
+    k = draw(st.integers(1, 4))
+    ctx = Grassmannian(k, k + draw(st.integers(1, 6)))
+    entries = st.integers(-4, 4)
+
+    def dominant(length):
+        drawn = draw(st.lists(entries, min_size=length, max_size=length))
+        return tuple(sorted(drawn, reverse=True))
+
+    return ctx, Bundle(dominant(ctx.quotient_rank), dominant(k))
+
+
+class TestPlacement:
+    @given(bundles_on_grassmannians())
+    def test_matches_the_full_sort(self, case):
+        ctx, bundle = case
+        assert bbw_cohomology(ctx, bundle) == sorted_route(ctx, bundle)
+
+    def test_large_grassmannian(self):
+        # Gr(2, 252): the shifted quotient part is 262..138 and 127..3, so
+        # subbundle entries land above it, in its gap, below it or on it
+        ctx = Grassmannian(2, 252)
+        lam = (10,) * 125 + (0,) * 125
+        expected = {
+            (400, 300): [500],
+            (300, 130): [375],
+            (133, 130): [250],
+            (133, -50): [125],
+            (-10, -20): [0],
+            (100, 0): [],
+            (300, 160): [],
+        }
+        for mu, degrees in expected.items():
+            bundle = Bundle(lam, mu)
+            profile = bbw_cohomology(ctx, bundle)
+            assert profile.degrees() == degrees, mu
+            assert profile == sorted_route(ctx, bundle), mu
 
 
 class TestStructuralSweeps:

@@ -13,7 +13,8 @@ import tracemalloc
 import pytest
 
 import bbwkoszul
-from bbwkoszul import weights
+from bbwkoszul import classes, weights
+from bbwkoszul.bbw import Grassmannian
 from bbwkoszul.checks import run_checks
 
 
@@ -39,6 +40,8 @@ def test_every_lru_cache_is_bounded():
         "bbwkoszul.weights._weyl_product",
         "bbwkoszul.weights._kostka",
         "bbwkoszul.weights.wedge_weights",
+        "bbwkoszul.weights._tensor_product",
+        "bbwkoszul.classes.named_class",
         "bbwkoszul.koszul.koszul_analysis",
         "bbwkoszul.oracles.kostka_number",
     } <= set(caches)
@@ -52,6 +55,22 @@ def test_wedge_weights_value_is_read_only():
     with pytest.raises(TypeError):
         square[(9, -3)] = 1
     assert weights.wedge_weights((3, 0), 2) == {(5, 1): 1, (3, 3): 1}
+
+
+def test_tensor_weights_value_is_read_only():
+    assert weights._tensor_product.cache_info().maxsize == weights.TENSOR_CACHE_SIZE
+    square = weights.tensor_weights([1, 0], (1, 0))
+    with pytest.raises(TypeError):
+        square[(2, 0)] = 2
+    assert square == {(2, 0): 1, (1, 1): 1}
+    # lists and tuples of one weight share a key
+    assert weights.tensor_weights((1, 0), [1, 0]) is square
+
+
+def test_named_classes_are_built_once():
+    assert classes.named_class.cache_info().maxsize == classes.NAMED_CACHE_SIZE
+    ctx = Grassmannian(2, 7)
+    assert classes.named_class(ctx, "tangent") is classes.named_class(ctx, "tangent")
 
 
 def test_repeated_reports_reach_a_plateau():

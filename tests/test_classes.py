@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from bbwkoszul.bbw import Bundle, Grassmannian
+from bbwkoszul.bbw import Bundle, CohomologyProfile, Grassmannian, bbw_cohomology
 from bbwkoszul.classes import (
     EquivariantClass,
     det_shift,
@@ -206,6 +206,49 @@ class TestClassCohomology:
 
     def test_empty_class(self):
         assert EquivariantClass.empty(GR27).cohomology().is_empty
+
+
+BAD_BUNDLES = {
+    "short-quotient": ((0,) * 4, (0, 0)),
+    "long-subbundle": ((0,) * 5, (0, 0, 0)),
+    "rising-quotient": ((0, 1, 0, 0, 0), (0, 0)),
+    "rising-subbundle": ((0,) * 5, (-1, 2)),
+}
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize("lam, mu", BAD_BUNDLES.values(), ids=BAD_BUNDLES)
+    def test_public_constructors_reject(self, lam, mu):
+        with pytest.raises(ValueError):
+            EquivariantClass(GR27, {Bundle(lam, mu): 1})
+        with pytest.raises(ValueError):
+            EquivariantClass.irreducible(GR27, lam, mu)
+        with pytest.raises(ValueError):
+            bbw_cohomology(GR27, Bundle(lam, mu))
+        with pytest.raises(ValueError):
+            CohomologyProfile(GR27.n, {0: {lam + mu: 1}})
+
+    @given(st.data())
+    def test_engine_results_pass_the_checks(self, data):
+        # products, twists, sums, exterior powers and their cohomology are
+        # built without a second check; rebuilding them through the
+        # checked constructors must accept them and change nothing
+        k = data.draw(st.sampled_from((1, 2, 3)))
+        ctx = Grassmannian(k, k + data.draw(st.integers(1, 3)))
+
+        def weight(length):
+            entries = data.draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+            return tuple(sorted(entries, reverse=True))
+
+        a = cls(ctx, weight(ctx.quotient_rank), weight(k))
+        b = cls(ctx, weight(ctx.quotient_rank), weight(k))
+        power = wedge_class(cls(ctx, (0,) * ctx.quotient_rank, weight(k)), data.draw(st.integers(0, 4)))
+        for built in (a.tensor(b), a.shifted(data.draw(st.integers(-3, 3))), a + b + a, power):
+            assert built == EquivariantClass(ctx, built.summands())
+            profile = built.cohomology()
+            assert profile == CohomologyProfile(
+                ctx.n, {q: profile.weights(q) for q in profile.degrees()}
+            )
 
 
 class TestDetShift:

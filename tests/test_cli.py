@@ -136,6 +136,27 @@ def test_default_report_matches_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256
 
 
+# the default range stops at GL(14); these reach GL(62) and GL(302), where
+# a placement or straightening error would leave the golden digest alone
+WIDE_REPORTS = {
+    "d5-60": (
+        ("--d-min", "5", "--d-max", "60", *GOLDEN_ARGV),
+        "73b3cc17e73d710c708220d3a4137884d2c44c706d9773aba4bb7f09f94a8156",
+    ),
+    "moduli-d300": (
+        ("--check", "theorem-moduli", "--d-min", "300", "--d-max", "300", *GOLDEN_ARGV),
+        "f1e9284c9a0972aac91e560544a32dc4c4280fd1fada55a92e27a2a15a7c3dd0",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, digest", WIDE_REPORTS.values(), ids=WIDE_REPORTS)
+def test_wide_report_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _child_env() -> dict[str, str]:
     src = str(Path(bbwkoszul.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

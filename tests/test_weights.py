@@ -228,6 +228,7 @@ class TestWeightMultiplicities:
         vector = (1,) + (0,) * (n - 1)
         wide = (5,) + (0,) * (n - 2) + (-5,)
         weights._kostka.cache_clear()
+        weights._tensor_product.cache_clear()
         product = tensor_weights(vector, wide)
         keys = weights._kostka.cache_info().currsize
         assert len(product) == 3
@@ -277,6 +278,7 @@ class TestTensorWeights:
             return weight_multiplicities(shape, n)
 
         monkeypatch.setattr(weights, "weight_multiplicities", spy)
+        weights._tensor_product.cache_clear()  # products are cached on their factors
         product = tensor_weights(wedge10, sym2)
         assert listed == [sym2]
         assert product == Counter({(3,) + (1,) * 9 + (0,) * 10: 1, (2,) + (1,) * 10 + (0,) * 9: 1})
@@ -351,6 +353,23 @@ class TestWedgeWeights:
                         assert times(powers[j], vandermonde) == nonzero, (shape, n, j)
                         cases += 1
         assert cases == 162
+
+    def test_top_powers_by_duality(self):
+        # above half the dimension wedge_weights goes through
+        # (wedge^(dim-j) V)* (x) det; here every layer of subset sums is
+        # straightened directly, in one pass per weight
+        for w in ((3, 0, 0, 0), (2, 1, 0), (1, 1, 0, 0), (2, 0, -1), (3, -1), (0, 0, -3), (2, 2, 2)):
+            n, low = len(w), w[-1]
+            basis = [
+                nu
+                for nu, m in weight_multiplicities([x - low for x in w], n)
+                for _ in range(m)
+            ]
+            dim = len(basis)
+            layers = elementary_expansion(Counter(basis), dim + 1)
+            for j in range(dim + 2):
+                direct = weights._straighten((j * low,) * n, layers[j].items())
+                assert wedge_weights(w, j) == direct, (w, j)
 
     def test_negative_entries_and_duals(self):
         # the dual of the cubic power in rank 3 goes through its dual
