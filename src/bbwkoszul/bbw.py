@@ -9,8 +9,10 @@ group. Otherwise exactly one group survives, in the degree given by the
 number of inversions removed by the sort, and its GL(V) highest weight is
 the sorted sequence minus the staircase. Both shifted parts are already
 strictly decreasing, so ``bbw_cohomology`` places only the k subbundle
-entries, by bisection; ``weights.dominant_sort`` stays the straightening
-rule of products.
+entries, each by bisection on j -> lam_q[j] + n - j. No shifted list is
+built: the GL(V) weight is assembled from slices of lam_q and the placed
+entries. ``weights.dominant_sort`` stays the straightening rule of
+products.
 
 Values are checked where they enter: ``bbw_cohomology`` validates its
 bundle and a ``CohomologyProfile`` built by hand validates its weights.
@@ -23,9 +25,10 @@ presentations happen one level up, in the class calculus.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
+from itertools import repeat
+from operator import add, ge, neg
 from typing import NamedTuple
 
 from .weights import Weight, is_dominant, weyl_dimension
@@ -74,22 +77,21 @@ class Bundle(NamedTuple):
     def dual(self) -> "Bundle":
         """Negate and reverse each factor; an involution."""
         return Bundle(
-            tuple(-x for x in reversed(self.lam_q)),
-            tuple(-x for x in reversed(self.mu_s)),
+            tuple(map(neg, reversed(self.lam_q))), tuple(map(neg, reversed(self.mu_s)))
         )
 
     def shifted(self, t: int) -> "Bundle":
         """Twist by the t-th power of the determinants of both factors."""
         return Bundle(
-            tuple(x + t for x in self.lam_q),
-            tuple(x + t for x in self.mu_s),
+            tuple(map(add, self.lam_q, repeat(t))), tuple(map(add, self.mu_s, repeat(t)))
         )
 
 
 def validate_bundle(ctx: Grassmannian, bundle: Bundle) -> None:
-    if len(bundle.lam_q) != ctx.quotient_rank or len(bundle.mu_s) != ctx.k:
+    lam, mu = bundle
+    if len(lam) != ctx.n - ctx.k or len(mu) != ctx.k:
         raise ValueError(f"{bundle} does not fit Gr({ctx.k},{ctx.n})")
-    if not (is_dominant(bundle.lam_q) and is_dominant(bundle.mu_s)):
+    if not (all(map(ge, lam, lam[1:])) and all(map(ge, mu, mu[1:]))):
         raise ValueError(f"{bundle} has a non-dominant factor")
 
 
@@ -188,27 +190,42 @@ class CohomologyProfile:
 def bbw_cohomology(ctx: Grassmannian, bundle: Bundle) -> CohomologyProfile:
     """All cohomology of one irreducible bundle: empty, or a single group.
 
-    The quotient part lam_q + (n, ..., k+1) of the shifted weight is
-    already strictly decreasing, and so is the subbundle part
-    mu_s + (k, ..., 1). So each of the k subbundle entries is placed into
-    the quotient part by bisection: a tie is a collision, and the entry
-    contributes one inversion for each quotient entry smaller than it.
+    The quotient part j -> lam_q[j] + n - j of the shifted weight is
+    strictly decreasing, and so is the subbundle part i -> mu_s[i] + k - i.
+    So each subbundle entry, largest first, is bisected on that function
+    of j, from where the previous entry landed; no shifted list is built.
+    Equality is a collision. An entry that lands before quotient entry j
+    (j = m = n - k: below all of them) passes the m - j entries after it,
+    which is its share of the degree, and its GL(V) entry is
+    mu_s[i] - (m - j). A quotient entry with i subbundle entries placed
+    before it moves i places to the right, so the GL(V) weight is lam_q
+    cut at the landing points, segment i raised by i, with the placed
+    entries in the cuts. Segment 0 is a plain slice.
     """
     validate_bundle(ctx, bundle)
     n, k = ctx.n, ctx.k
-    # both parts in ascending order, the quotient part as the bisection target
-    quotient = [x + r for x, r in zip(reversed(bundle.lam_q), range(k + 1, n + 1))]
-    merged = quotient[:]
-    degree = 0
-    for i, x in enumerate(reversed(bundle.mu_s)):
-        entry = x + i + 1
-        at = bisect_left(quotient, entry)
-        if at < len(quotient) and quotient[at] == entry:
+    m = n - k
+    lam, mu = bundle
+    out: list[int] = []
+    degree = start = 0
+    for i, x in enumerate(mu):
+        # first j >= start with lam[j] + n - j <= x + k - i
+        target = x + k - i - n
+        lo, hi = start, m
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if lam[mid] - mid > target:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < m and lam[lo] - lo == target:
             return CohomologyProfile._trusted(n, {})
-        degree += at
-        merged.insert(at + i, entry)  # the i subbundle entries placed so far are smaller
-    glweight = tuple(x - r for x, r in zip(reversed(merged), range(n, 0, -1)))
-    return CohomologyProfile._trusted(n, {degree: {glweight: 1}})
+        degree += m - lo
+        out.extend(map(add, lam[start:lo], repeat(i)) if i else lam[:lo])
+        out.append(x - m + lo)
+        start = lo
+    out.extend(map(add, lam[start:], repeat(k)))
+    return CohomologyProfile._trusted(n, {degree: {tuple(out): 1}})
 
 
 def canonical_bundle(ctx: Grassmannian) -> Bundle:

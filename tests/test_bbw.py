@@ -125,6 +125,72 @@ class TestPlacement:
             assert profile.degrees() == degrees, mu
             assert profile == sorted_route(ctx, bundle), mu
 
+    def test_large_projective_space(self):
+        # Gr(1, 203): the shifted quotient part is 213..113 and 102..2
+        ctx = Grassmannian(1, 203)
+        lam = (10,) * 101 + (0,) * 101
+        expected = {
+            (250,): [202],  # above it: the whole part is raised by 1
+            (111,): [101],  # top of the gap
+            (102,): [101],  # bottom of the gap
+            (0,): [0],  # below it: the weight is lam_q then mu_s
+            (149,): [],  # on 150, inside the upper run
+            (112,): [],  # on 113, the upper run's last entry
+            (101,): [],  # on 102, the lower run's first entry
+            (1,): [],  # on 2, the last entry
+        }
+        for mu, degrees in expected.items():
+            bundle = Bundle(lam, mu)
+            profile = bbw_cohomology(ctx, bundle)
+            assert profile.degrees() == degrees, mu
+            assert profile == sorted_route(ctx, bundle), mu
+        assert bbw_cohomology(ctx, Bundle(lam, (111,))).weights(101) == {
+            (10,) * 101 + (10,) + (1,) * 101: 1
+        }
+
+    def test_large_grassmannian_rank_three(self):
+        # Gr(3, 203): the shifted quotient part is 213..114 and 103..4, and
+        # the shifted subbundle entries are mu + (3, 2, 1)
+        ctx = Grassmannian(3, 203)
+        lam = (10,) * 100 + (0,) * 100
+        expected = {
+            (297, 108, 1): [300],  # above it, in the gap, below it
+            (400, 300, 250): [600],  # all above
+            (110, 107, 104): [300],  # all in the gap
+            (297, 250, -5): [400],  # two above, one below
+            (108, 0, -1): [100],  # one in the gap, two below
+            (0, 0, -3): [0],  # all below
+            (297, 108, 3): [],  # the last one on 4, the last entry
+            (297, 112, 1): [],  # the middle one on 114, the upper run's last
+            (297, 101, 1): [],  # the middle one on 103, the lower run's first
+            (147, 108, 1): [],  # the first one on 150
+        }
+        for mu, degrees in expected.items():
+            bundle = Bundle(lam, mu)
+            profile = bbw_cohomology(ctx, bundle)
+            assert profile.degrees() == degrees, mu
+            assert profile == sorted_route(ctx, bundle), mu
+        assert bbw_cohomology(ctx, Bundle(lam, (297, 108, 1))).weights(300) == {
+            (97,) + (11,) * 100 + (8,) + (2,) * 100 + (1,): 1
+        }
+        # two entries in one cut: segment 1 is empty, segment 2 is not
+        assert bbw_cohomology(ctx, Bundle(lam, (110, 107, -5))).weights(200) == {
+            (10,) * 100 + (10, 7) + (2,) * 100 + (-5,): 1
+        }
+
+    def test_every_segment_raised(self):
+        # four runs 233..184, 173..124, 113..64 and 53..4 with one subbundle
+        # entry in each of the three gaps, so segment i = 0..3 of lam_q is
+        # nonempty and raised by i
+        ctx = Grassmannian(3, 203)
+        lam = (30,) * 50 + (20,) * 50 + (10,) * 50 + (0,) * 50
+        bundle = Bundle(lam, (177, 118, 59))
+        profile = bbw_cohomology(ctx, bundle)
+        assert profile.weights(300) == {
+            (30,) * 50 + (27,) + (21,) * 50 + (18,) + (12,) * 50 + (9,) + (3,) * 50: 1
+        }
+        assert profile == sorted_route(ctx, bundle)
+
 
 class TestStructuralSweeps:
     def test_structure_sheaf(self):

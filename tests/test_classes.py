@@ -270,6 +270,49 @@ class TestDetShift:
         assert det_shift(EquivariantClass.empty(GR27), EquivariantClass.empty(GR27)) == 0
         assert det_shift(EquivariantClass.empty(GR27), named_class(GR27, "S")) is None
 
+    @given(st.data())
+    def test_forced_twist(self, data):
+        k = data.draw(st.integers(1, 3))
+        ctx = Grassmannian(k, k + data.draw(st.integers(1, 4)))
+
+        def bundle():
+            def weight(length):
+                entries = data.draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+                return tuple(sorted(entries, reverse=True))
+
+            return Bundle(weight(ctx.quotient_rank), weight(k))
+
+        summands = {bundle(): data.draw(st.integers(1, 3)) for _ in range(data.draw(st.integers(1, 4)))}
+        a = EquivariantClass(ctx, summands)
+        t = data.draw(st.integers(-5, 5))
+        b = a.shifted(t)
+        assert det_shift(a, b) == t
+        assert det_shift(b, a) == -t
+        # the twist is read off the least bundle, not the first one inserted
+        reordered = EquivariantClass(ctx, dict(reversed(b.summands().items())))
+        assert det_shift(a, reordered) == t
+
+        # each perturbation below changes the total multiplicity or the
+        # least (or greatest) bundle in a way no uniform twist can
+        moved = b.summands()
+        x = data.draw(st.sampled_from(sorted(moved)))
+        moved[x] += data.draw(st.sampled_from([-1, 1]))
+        assert det_shift(a, EquivariantClass(ctx, moved)) is None
+        assert det_shift(a, b + EquivariantClass(ctx, {bundle(): 1})) is None
+        if len(summands) > 1:
+            # twisting the greatest bundle up keeps the least one, so a twist
+            # taking a onto the result would have to be t, which moves nothing
+            top = max(b.summands())
+            twisted = b.summands()
+            twisted[top.shifted(data.draw(st.integers(1, 3)))] = twisted.pop(top)
+            assert det_shift(a, EquivariantClass(ctx, twisted)) is None
+
+        other = EquivariantClass(ctx, {bundle(): 1, bundle(): 2})
+        there, back = det_shift(a, other), det_shift(other, a)
+        assert (there is None) == (back is None)
+        if there is not None:
+            assert back == -there
+
 
 class TestClaimedDecompositions:
     def test_all_lines_at_small_d(self):
