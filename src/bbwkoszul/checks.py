@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import lru_cache
 from importlib import resources
 from math import comb
 from typing import Callable, NamedTuple
@@ -29,7 +30,7 @@ from .koszul import (
     restricted_cohomology,
     verify_claimed_decompositions,
 )
-from .weights import wedge_weights
+from .weights import Weight, wedge_weights
 
 PASS = "pass"
 FAIL = "fail"
@@ -134,9 +135,23 @@ def _run_lemma_s(d: int, exp: dict):
     return (PASS if ok else FAIL), computed, exp, "", ()
 
 
-def _run_plethysm(d: int, exp: dict):
+# (level, weights) keys of the plethysm identity: one per exterior power
+# the plethysm-eq4 check compares, three per run, whatever the d range.
+PLETHYSM_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=PLETHYSM_CACHE_SIZE)
+def _plethysm_character_ok(level: int, weights: tuple[Weight, ...]) -> bool:
+    """Whether the weights, with multiplicity, carry the character of wedge^level Sym^3 C^2.
+
+    The identity does not depend on d, so each (level, weights) is compared once.
+    """
     from .oracles import character_of_combination, elementary_character
 
+    return character_of_combination(Counter(weights)) == elementary_character((3, 0), level)
+
+
+def _run_plethysm(d: int, exp: dict):
     ctx = _plane(d)
     sym3 = named_class(ctx, "sym_cube")
     zero_q = (0,) * ctx.quotient_rank
@@ -146,9 +161,7 @@ def _run_plethysm(d: int, exp: dict):
         expected_weights = [tuple(w) for w in exp[f"wedge{level}"]]
         target = EquivariantClass(ctx, {Bundle(zero_q, mu): 1 for mu in expected_weights})
         power = wedge_class(sym3, level)
-        char_ok = character_of_combination(
-            Counter(expected_weights)
-        ) == elementary_character((3, 0), level)
+        char_ok = _plethysm_character_ok(level, tuple(expected_weights))
         computed[f"wedge{level}"] = sorted(list(b.mu_s) for b in power.summands())
         ok = ok and power == target and char_ok
     expected = {field: sorted(weights) for field, weights in exp.items()}

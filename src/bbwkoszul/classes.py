@@ -50,7 +50,10 @@ class EquivariantClass:
             if m < 0:
                 raise ValueError("negative multiplicity")
             if m:
-                bundle = Bundle(tuple(b.lam_q), tuple(b.mu_s))
+                if type(b) is Bundle and type(b.lam_q) is tuple and type(b.mu_s) is tuple:
+                    bundle = b  # already normalized: no rebuild, still validated
+                else:
+                    bundle = Bundle(tuple(b.lam_q), tuple(b.mu_s))
                 validate_bundle(ctx, bundle)
                 store[bundle] = store.get(bundle, 0) + m
         self._summands = store

@@ -27,7 +27,6 @@ every number assembled with their help names them.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
@@ -496,7 +495,12 @@ def verify_claimed_decompositions(d: int) -> list[DecompositionComparison]:
     out = []
     for level, factor, q_weight, s_weights in _claimed_lines(d):
         computed = terms[factor, level]
-        claimed = EquivariantClass(ctx, Counter(Bundle(q_weight, mu) for mu in s_weights))
+        # a plain dict, not a Counter; the public constructor validates each bundle
+        summands: dict[Bundle, int] = {}
+        for mu in s_weights:
+            bundle = Bundle(q_weight, mu)
+            summands[bundle] = summands.get(bundle, 0) + 1
+        claimed = EquivariantClass(ctx, summands)
         out.append(
             DecompositionComparison(
                 f"wedge{level}_{factor}", computed, claimed, det_shift(computed, claimed)

@@ -52,8 +52,14 @@ TENSOR_CACHE_SIZE = 1024
 
 
 def is_dominant(weight: Iterable[int]) -> bool:
-    w = tuple(weight)
-    return all(map(operator.ge, w, w[1:]))
+    """Whether the entries are weakly decreasing.
+
+    One sort decides it: a weakly decreasing list is a single run for the
+    sort, so the check is linear and runs in C, not a Python-level
+    comparison of every adjacent pair.
+    """
+    w = list(weight)
+    return w == sorted(w, reverse=True)
 
 
 def as_partition(shape: Iterable[int]) -> Weight:

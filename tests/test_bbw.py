@@ -11,6 +11,7 @@ from bbwkoszul.bbw import (
     bundle_rank,
     canonical_bundle,
     rho,
+    validate_bundle,
 )
 from bbwkoszul import classes
 from bbwkoszul.classes import serre_check
@@ -306,6 +307,40 @@ class TestSerre:
         for ctx in (GR27, Grassmannian(2, 8), Grassmannian(1, 6)):
             for _ in range(40):
                 assert serre_check(ctx, random_bundle(ctx, rng))
+
+
+@st.composite
+def bundle_parts(draw):
+    """Gr(k, n) with k <= 3 and n <= 300, and two factors that may be too long
+    or too short, weakly decreasing or with one adjacent pair swapped."""
+    k = draw(st.integers(1, 3))
+    ctx = Grassmannian(k, draw(st.integers(k + 1, 300)))
+
+    def part(length):
+        size = max(0, length + draw(st.sampled_from((0, 0, 0, -1, 1))))
+        w = sorted(draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)), reverse=True)
+        if size >= 2 and draw(st.booleans()):
+            i = draw(st.sampled_from((0, (size - 1) // 2, size - 2)))
+            w[i], w[i + 1] = w[i + 1], w[i]
+        return w
+
+    return ctx, part(ctx.quotient_rank), part(k)
+
+
+class TestValidateBundle:
+    @given(bundle_parts())
+    def test_raises_exactly_on_a_bad_factor(self, case):
+        ctx, lam, mu = case
+        fits = len(lam) == ctx.quotient_rank and len(mu) == ctx.k
+        dominant = all(a >= b for a, b in zip(lam, lam[1:])) and all(
+            a >= b for a, b in zip(mu, mu[1:])
+        )
+        for bundle in (Bundle(tuple(lam), tuple(mu)), Bundle(lam, mu)):
+            if fits and dominant:
+                validate_bundle(ctx, bundle)
+            else:
+                with pytest.raises(ValueError):
+                    validate_bundle(ctx, bundle)
 
 
 class TestProfiles:

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import bbwkoszul
-from bbwkoszul import classes, weights
+from bbwkoszul import checks, classes, weights
 from bbwkoszul.bbw import Grassmannian
 from bbwkoszul.checks import run_checks
 
@@ -42,6 +42,7 @@ def test_every_lru_cache_is_bounded():
         "bbwkoszul.weights.wedge_weights",
         "bbwkoszul.weights._tensor_product",
         "bbwkoszul.classes.named_class",
+        "bbwkoszul.checks._plethysm_character_ok",
         "bbwkoszul.koszul.koszul_analysis",
         "bbwkoszul.oracles.kostka_number",
     } <= set(caches)
@@ -71,6 +72,14 @@ def test_named_classes_are_built_once():
     assert classes.named_class.cache_info().maxsize == classes.NAMED_CACHE_SIZE
     ctx = Grassmannian(2, 7)
     assert classes.named_class(ctx, "tangent") is classes.named_class(ctx, "tangent")
+
+
+def test_plethysm_identity_is_compared_once():
+    assert checks._plethysm_character_ok.cache_info().maxsize == checks.PLETHYSM_CACHE_SIZE == 8
+    checks._plethysm_character_ok.cache_clear()
+    run_checks(5, 9, ["plethysm-eq4"])
+    info = checks._plethysm_character_ok.cache_info()
+    assert (info.misses, info.hits) == (3, 12)
 
 
 def test_repeated_reports_reach_a_plateau():

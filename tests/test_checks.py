@@ -185,3 +185,26 @@ def test_exit_code_on_failure():
     )
     assert report.exit_code() == 1
     assert report.summary["fail"] == 1
+
+
+class TestPlethysmIdentity:
+    def expected_at(self, d):
+        fields = ("wedge2", "wedge3", "wedge4")
+        return {field: expected_value("plethysm-eq4", field, d) for field in fields}
+
+    def test_wrong_wedge3_fails_after_a_passing_call(self):
+        exp = self.expected_at(6)
+        assert checks._run_plethysm(6, exp)[0] == checks.PASS
+        # (6, 3) twice: the class comparison sees one summand, so only the
+        # character of the weights with multiplicity tells it apart
+        doubled = dict(exp, wedge3=[[6, 3], [6, 3]])
+        assert checks._run_plethysm(6, doubled)[0] == checks.FAIL
+        assert checks._run_plethysm(7, doubled)[0] == checks.FAIL
+        assert checks._run_plethysm(6, dict(exp, wedge3=[[5, 4]]))[0] == checks.FAIL
+        assert checks._run_plethysm(7, exp)[0] == checks.PASS
+
+    def test_character_identity_is_keyed_on_level_and_weights(self):
+        assert checks._plethysm_character_ok(3, ((6, 3),))
+        assert not checks._plethysm_character_ok(3, ((6, 3), (6, 3)))
+        assert not checks._plethysm_character_ok(4, ((6, 3),))
+        assert checks._plethysm_character_ok(2, ((5, 1), (3, 3)))

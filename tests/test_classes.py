@@ -1,4 +1,5 @@
 from collections import Counter
+from collections.abc import Mapping
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from bbwkoszul.classes import (
     named_class,
     wedge_class,
 )
+from bbwkoszul import koszul
 from bbwkoszul.koszul import verify_claimed_decompositions
 from bbwkoszul.oracles import gl2_tensor, schur_product_decomposition
 
@@ -251,6 +253,48 @@ class TestBoundaryChecks:
             )
 
 
+class PairMapping(Mapping):
+    """A read-only mapping over (key, value) pairs whose keys need not be hashable."""
+
+    def __init__(self, pairs):
+        self._pairs = list(pairs)
+
+    def __getitem__(self, key):
+        for k, v in self._pairs:
+            if k == key:
+                return v
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (k for k, _ in self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+
+class TestKeyNormalization:
+    def test_list_parts_equal_tuple_parts(self):
+        lam, mu = [1, 0, 0, 0, 0], [3, -1]
+        from_lists = EquivariantClass(GR27, PairMapping([(Bundle(lam, mu), 2)]))
+        from_tuples = EquivariantClass(GR27, {Bundle(tuple(lam), tuple(mu)): 2})
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert [type(part) for b in from_lists.summands() for part in b] == [tuple, tuple]
+
+    def test_list_and_tuple_keys_merge(self):
+        lam, mu = [1, 0, 0, 0, 0], [3, -1]
+        merged = EquivariantClass(
+            GR27, PairMapping([(Bundle(lam, mu), 1), (Bundle(tuple(lam), tuple(mu)), 2)])
+        )
+        assert merged.summands() == {Bundle(tuple(lam), tuple(mu)): 3}
+
+    def test_tuple_keys_are_still_validated(self):
+        with pytest.raises(ValueError):
+            EquivariantClass(GR27, {Bundle((0,) * 5, (0, 3)): 1})
+        with pytest.raises(ValueError):
+            EquivariantClass(GR27, {Bundle((0,) * 6, (3, 0)): 1})
+
+
 class TestDetShift:
     def test_shift_by_one(self):
         a = cls(GR27, (1, 0, 0, 0, 0), (3, -1))
@@ -347,3 +391,21 @@ class TestClaimedDecompositions:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             verify_claimed_decompositions(2)
+
+    @pytest.mark.parametrize("where", ["subbundle", "quotient"])
+    def test_claimed_lines_are_validated(self, monkeypatch, where):
+        # a non-dominant subbundle weight, or a quotient weight of length d + 1
+        lines = koszul._claimed_lines
+
+        def broken(d):
+            out = lines(d)
+            level, factor, q_weight, s_weights = out[-1]
+            if where == "subbundle":
+                out[-1] = (level, factor, q_weight, s_weights + [(0, 3)])
+            else:
+                out[-1] = (level, factor, q_weight + (0,), s_weights)
+            return out
+
+        monkeypatch.setattr(koszul, "_claimed_lines", broken)
+        with pytest.raises(ValueError):
+            verify_claimed_decompositions(6)

@@ -458,3 +458,32 @@ def test_as_partition_strips_long_zero_tail():
 def test_is_dominant():
     assert is_dominant((3, 1, 0, -2))
     assert not is_dominant((1, 2))
+
+
+def pairwise_dominant(w):
+    return all(w[i] >= w[i + 1] for i in range(len(w) - 1))
+
+
+@st.composite
+def swapped_once(draw, entries):
+    """A weakly decreasing list with one adjacent pair swapped at its start, middle or end."""
+    w = sorted(draw(st.lists(entries, min_size=2, max_size=300)), reverse=True)
+    i = draw(st.sampled_from((0, (len(w) - 1) // 2, len(w) - 2)))
+    w[i], w[i + 1] = w[i + 1], w[i]
+    return w
+
+
+dominance_entries = st.integers(-50, 50)
+dominance_inputs = st.one_of(
+    st.lists(dominance_entries, max_size=300),
+    st.lists(dominance_entries, max_size=300).map(lambda v: sorted(v, reverse=True)),
+    swapped_once(dominance_entries),
+)
+
+
+@given(dominance_inputs)
+def test_is_dominant_matches_the_pairwise_definition(w):
+    expected = pairwise_dominant(w)
+    assert is_dominant(w) is expected
+    assert is_dominant(tuple(w)) is expected
+    assert is_dominant(iter(w)) is expected
