@@ -26,7 +26,6 @@ presentations happen one level up, in the class calculus.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from itertools import repeat
 from operator import add, neg
 from typing import NamedTuple
@@ -151,12 +150,6 @@ class CohomologyProfile:
 
     def degrees(self) -> list[int]:
         return sorted(self._groups)
-
-    def entries(self) -> Iterator[tuple[int, Weight, int]]:
-        """Each (degree, weight, multiplicity) of the profile, read in place, not copied."""
-        for q, group in self._groups.items():
-            for w, m in group.items():
-                yield q, w, m
 
     def weights(self, q: int) -> Counter[Weight]:
         return Counter(self._groups.get(q, {}))

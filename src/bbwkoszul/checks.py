@@ -159,7 +159,12 @@ def _run_plethysm(d: int, exp: dict):
     ok = True
     for level in (2, 3, 4):
         expected_weights = [tuple(w) for w in exp[f"wedge{level}"]]
-        target = EquivariantClass(ctx, {Bundle(zero_q, mu): 1 for mu in expected_weights})
+        # each weight counted as often as it is listed; the constructor validates
+        summands: dict[Bundle, int] = {}
+        for mu in expected_weights:
+            bundle = Bundle(zero_q, mu)
+            summands[bundle] = summands.get(bundle, 0) + 1
+        target = EquivariantClass(ctx, summands)
         power = wedge_class(sym3, level)
         char_ok = _plethysm_character_ok(level, tuple(expected_weights))
         computed[f"wedge{level}"] = sorted(list(b.mu_s) for b in power.summands())

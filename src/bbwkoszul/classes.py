@@ -13,11 +13,13 @@ A class built by hand (``EquivariantClass(...)``, ``irreducible``)
 validates every bundle. The classes the engine builds from valid ones
 (``tensor``, ``shifted``, ``wedge_class``, ``+``) and the profiles of
 their cohomology are trusted and not checked again, and ``named_class``
-builds each (context, name) once, in a bounded cache.
+builds each (context, name) once, in a bounded cache. Classes are
+immutable, so each hashes its summands once and keeps the hash.
 
 Displayed decompositions in the source material trivialize det V; the
 engine never does. ``det_shift`` is the single point where classes are
-compared up to a uniform determinant twist.
+compared up to a uniform determinant twist; it builds no shifted class
+and twists each distinct quotient part once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import repeat
+from operator import add
 
 from .bbw import (
     Bundle,
@@ -41,7 +45,7 @@ from .weights import Weight, tensor_weights, wedge_weights
 class EquivariantClass:
     """Non-negative integer combination of irreducible homogeneous bundles."""
 
-    __slots__ = ("ctx", "_summands")
+    __slots__ = ("ctx", "_summands", "_hash")
 
     def __init__(self, ctx: Grassmannian, summands: Mapping[Bundle, int] | None = None):
         self.ctx = ctx
@@ -57,6 +61,7 @@ class EquivariantClass:
                 validate_bundle(ctx, bundle)
                 store[bundle] = store.get(bundle, 0) + m
         self._summands = store
+        self._hash = None
 
     @classmethod
     def _trusted(cls, ctx: Grassmannian, summands: dict[Bundle, int]) -> "EquivariantClass":
@@ -64,6 +69,7 @@ class EquivariantClass:
         built = object.__new__(cls)
         built.ctx = ctx
         built._summands = summands
+        built._hash = None
         return built
 
     @classmethod
@@ -115,9 +121,12 @@ class EquivariantClass:
     def cohomology(self) -> CohomologyProfile:
         groups: dict[int, dict[Weight, int]] = {}
         for b, m in self._summands.items():
-            for q, w, c in bbw_cohomology(self.ctx, b).entries():
+            # one public call per summand, which the tracer counts; its groups
+            # are read in place
+            for q, part in bbw_cohomology(self.ctx, b)._groups.items():
                 group = groups.setdefault(q, {})
-                group[w] = group.get(w, 0) + m * c
+                for w, c in part.items():
+                    group[w] = group.get(w, 0) + m * c
         return CohomologyProfile._trusted(self.ctx.n, groups)
 
     def euler_characteristic(self) -> int:
@@ -135,7 +144,9 @@ class EquivariantClass:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx, frozenset(self._summands.items())))
+        if self._hash is None:
+            self._hash = hash((self.ctx, frozenset(self._summands.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -233,8 +244,10 @@ def det_shift(a: EquivariantClass, b: EquivariantClass) -> int | None:
     twist exists. Twisting adds t to every entry of every bundle, so it
     keeps the lexicographic order of bundles, and the least bundle of
     a.shifted(t) is the least bundle of a, twisted. So the only twist
-    that can work is t = min(b).lam_q[0] - min(a).lam_q[0], and one
-    comparison decides.
+    that can work is t = min(b).lam_q[0] - min(a).lam_q[0]. One pass
+    over the summands of a then decides, without building a.shifted(t):
+    the summands of a Koszul term, or of a claimed line, share one
+    quotient part, so each distinct quotient part is twisted once.
     """
     a._check_ctx(b)
     if a.is_empty and b.is_empty:
@@ -242,7 +255,21 @@ def det_shift(a: EquivariantClass, b: EquivariantClass) -> int | None:
     if a.is_empty or b.is_empty:
         return None
     t = min(b._summands).lam_q[0] - min(a._summands).lam_q[0]
-    return t if a.shifted(t) == b else None
+    # twisting is injective, so a.shifted(t) == b when both have as many
+    # summands and each twisted summand of a has its multiplicity in b
+    if len(a._summands) != len(b._summands):
+        return None
+    target = b._summands
+    twisted_q: dict[Weight, Weight] = {}
+    for bundle, m in a._summands.items():
+        lam = bundle.lam_q
+        lam_t = twisted_q.get(lam)
+        if lam_t is None:
+            lam_t = twisted_q[lam] = tuple(map(add, lam, repeat(t)))
+        # a Bundle is a NamedTuple: the plain pair hashes and compares like it
+        if target.get((lam_t, tuple(map(add, bundle.mu_s, repeat(t))))) != m:
+            return None
+    return t
 
 
 def serre_check(ctx: Grassmannian, bundle: Bundle) -> bool:

@@ -158,15 +158,18 @@ class DegreeVerdict(NamedTuple):
         return out
 
 
-def _entry_blocking(page: KoszulPage, p: int, q: int) -> tuple[BlockingPair, ...]:
-    mine = page.entry_constituents(p, q)
+def _entry_blocking(
+    groups: Mapping[tuple[int, int], Mapping[Weight, int]], p_min: int, p: int, q: int
+) -> tuple[BlockingPair, ...]:
+    mine = groups.get((p, q))
     if not mine:
         return ()
+    mine_keys = mine.keys()
     found = []
-    for r in range(1, -page.p_min + 1):
+    for r in range(1, -p_min + 1):
         for pp, qq in ((p - r, q + r - 1), (p + r, q - r + 1)):
-            other = page.entry_constituents(pp, qq)
-            if other and (mine & other):
+            other = groups.get((pp, qq))
+            if other and not mine_keys.isdisjoint(other):
                 found.append(((p, q), (pp, qq), r))
     return tuple(found)
 
@@ -178,15 +181,20 @@ def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
     order; the abutment vanishes in every other degree. A degree is
     determined exactly when every contributing entry is
     differential-isolated; its dimension is then the plain sum of the
-    entry dimensions.
+    entry dimensions. The constituents of every entry are read from one
+    {(p, q): group} map of the page.
     """
+    groups = {
+        (p, q): group for p, col in page.columns.items() for q, group in col._groups.items()
+    }
+    p_min = page.p_min
     by_degree: dict[int, list[tuple[int, int, int]]] = {}
     for p, q, dim in page.nonzero_entries():
         by_degree.setdefault(p + q, []).append((p, q, dim))
     verdicts: dict[int, DegreeVerdict] = {}
     for m, entries in sorted(by_degree.items()):
         upper = sum(dim for _, _, dim in entries)
-        blocking = [pair for p, q, _ in entries for pair in _entry_blocking(page, p, q)]
+        blocking = [pair for p, q, _ in entries for pair in _entry_blocking(groups, p_min, p, q)]
         if blocking:
             verdicts[m] = DegreeVerdict(m, False, None, upper, tuple(blocking))
         else:
@@ -364,13 +372,21 @@ class DeformationNumbers(NamedTuple):
     axioms_used: tuple[str, ...]
 
 
+# A sweep asks for both sides of one d four times (prop-cubic, prop-fano
+# and theorem-moduli twice) but needs two values; run_checks visits
+# d-major, so two entries catch every reuse.
+DEFORMATION_CACHE_SIZE = 2
+
+
+@lru_cache(maxsize=DEFORMATION_CACHE_SIZE)
 def deformation_numbers(d: int, side: str) -> DeformationNumbers:
     """Number of first-order deformations, for the hypersurface or its line scheme.
 
     side "cubic" works on projective space with normal class O(3) and
     needs d >= 3; side "fano" works on the Grassmannian of 2-planes with
     the dual cubic power of S as normal class and needs d >= 5. Raises
-    UnderdeterminedError when a needed verdict is only a range.
+    UnderdeterminedError when a needed verdict is only a range. The value
+    is immutable and cached on (d, side).
     """
     side = side.lower()
     if side == "cubic":

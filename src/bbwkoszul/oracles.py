@@ -7,7 +7,11 @@ check can compare the two routes. Keeping both routes alive is the point;
 do not "simplify" one into the other. The rank-2 character calculus
 (Clebsch-Gordan products, exterior and symmetric powers by character
 peeling) lives here too: it is the reference the rank-2 results of
-``weights`` are compared against.
+``weights`` are compared against. Its characters are read-only mappings,
+built once per weight in a bounded cache, and ``gl2_character`` is the
+only builder: every power, product, peel and combination reads its
+characters through that one public name, so a mutant patched over it
+still reaches every reader.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from operator import sub
+from types import MappingProxyType
 
 from .bbw import Bundle, Grassmannian
 from .weights import (
@@ -36,6 +41,11 @@ from .weights import (
 # from growing without limit.
 SCHUR_MONOMIALS_CACHE_SIZE = 256
 KOSTKA_CACHE_SIZE = 16384
+# (total, nvars) keys of the partition lists: 28 for lr_suite(4), the
+# default report's, and 66 for lr_suite(6).
+PARTITION_LIST_CACHE_SIZE = 128
+# Distinct rank-2 weights whose character one default report reads: 229.
+GL2_CHARACTER_CACHE_SIZE = 256
 
 
 def _rows(length: int, floor: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
@@ -140,6 +150,12 @@ def kostka_number(shape: Weight, content: Weight) -> int:
     )
 
 
+@lru_cache(maxsize=PARTITION_LIST_CACHE_SIZE)
+def _partition_list(total: int, nvars: int) -> tuple[Weight, ...]:
+    """The partitions of ``total`` into at most ``nvars`` parts, in decreasing lex order."""
+    return tuple(partitions_of(total, max_parts=nvars))
+
+
 def schur_product_decomposition(a, b) -> Counter[Weight]:
     """Brute-force Littlewood-Richardson: multiply monomial expansions, peel greedily.
 
@@ -172,7 +188,7 @@ def schur_product_decomposition(a, b) -> Counter[Weight]:
             support -= 1
         by_support[support].append((u, cu))
     total = sum(pa) + sum(pb)
-    partitions = tuple(partitions_of(total, max_parts=nvars))
+    partitions = _partition_list(total, nvars)
     coeffs: list[int] = []
     for cpart in partitions:
         cpad = cpart + (0,) * (nvars - len(cpart))
@@ -200,7 +216,7 @@ def schur_product_decomposition(a, b) -> Counter[Weight]:
 # ---------------------------------------------------------------------------
 # rank-2 character calculus
 #
-# A Laurent character is a dict from exponent pairs (a, b) to positive
+# A Laurent character is a mapping from exponent pairs (a, b) to positive
 # integer multiplicities; the irreducible of highest weight (w1, w2) has
 # the w1-w2+1 monomials x^(w1-j) y^(w2+j). Exterior and symmetric powers
 # are expanded monomial by monomial and peeled greedily back into
@@ -208,7 +224,7 @@ def schur_product_decomposition(a, b) -> Counter[Weight]:
 # engine takes these powers and products from ``weights`` instead.
 
 ExponentPair = tuple[int, int]
-LaurentCharacter = dict[ExponentPair, int]
+LaurentCharacter = Mapping[ExponentPair, int]
 
 
 class NotDecomposableError(ValueError):
@@ -222,16 +238,25 @@ def _check_gl2(weight: Iterable[int]) -> ExponentPair:
     return w  # type: ignore[return-value]
 
 
+@lru_cache(maxsize=GL2_CHARACTER_CACHE_SIZE)
+def _gl2_character(pair: ExponentPair) -> LaurentCharacter:
+    a, b = pair
+    return MappingProxyType({(a - j, b + j): 1 for j in range(a - b + 1)})
+
+
 def gl2_character(weight: Iterable[int]) -> LaurentCharacter:
-    """Character of the rank-2 irreducible with the given highest weight."""
-    a, b = _check_gl2(weight)
-    return {(a - j, b + j): 1 for j in range(a - b + 1)}
+    """Character of the rank-2 irreducible with the given highest weight.
+
+    The value is read-only and cached on the checked weight, so callers
+    share it.
+    """
+    return _gl2_character(_check_gl2(weight))
 
 
 def _subset_character(subsets: Iterable[tuple[ExponentPair, ...]]) -> LaurentCharacter:
     """The character whose monomials are the products of the given monomial subsets."""
     # plain-dict accumulation: Counter.__missing__ is a Python call per new key
-    out: LaurentCharacter = {}
+    out: dict[ExponentPair, int] = {}
     for subset in subsets:
         x = y = 0
         for mx, my in subset:
@@ -252,7 +277,7 @@ def homogeneous_character(weight: Iterable[int], k: int) -> LaurentCharacter:
 
 
 def character_of_combination(parts: Mapping[Weight, int]) -> LaurentCharacter:
-    out: LaurentCharacter = {}
+    out: dict[ExponentPair, int] = {}
     for w, m in parts.items():
         for mono in gl2_character(w):
             out[mono] = out.get(mono, 0) + m
@@ -260,7 +285,7 @@ def character_of_combination(parts: Mapping[Weight, int]) -> LaurentCharacter:
 
 
 def character_product(c1: LaurentCharacter, c2: LaurentCharacter) -> LaurentCharacter:
-    out: LaurentCharacter = {}
+    out: dict[ExponentPair, int] = {}
     for (x1, y1), m1 in c1.items():
         for (x2, y2), m2 in c2.items():
             key = (x1 + x2, y1 + y2)
@@ -382,7 +407,7 @@ def gl2_suite(max_diff: int) -> dict:
                     cases += 1
                     lhs = character_product(characters[a], characters[b])
                     rhs = character_of_combination(product)
-                    dims = sum(w[0] - w[1] + 1 for w in product.elements())
+                    dims = sum((w[0] - w[1] + 1) * m for w, m in product.items())
                     if lhs != rhs or dims != (da + 1) * (db + 1):
                         failures.append({"a": list(a), "b": list(b)})
     for d in range(max_diff + 1):
@@ -394,7 +419,7 @@ def gl2_suite(max_diff: int) -> dict:
                 cases += 1
                 if character_of_combination(parts) != elementary_character(w, k):
                     failures.append({"w": list(w), "wedge": k})
-                wedge_dims += sum(x[0] - x[1] + 1 for x in parts.elements())
+                wedge_dims += sum((x[0] - x[1] + 1) * m for x, m in parts.items())
             cases += 1
             if wedge_dims != 2 ** (d + 1):
                 failures.append({"w": list(w), "wedge_total": wedge_dims})
@@ -407,9 +432,9 @@ def gl2_suite(max_diff: int) -> dict:
 
 
 def random_bundle(ctx: Grassmannian, rng: random.Random, bound: int = 9) -> Bundle:
-    lam = tuple(sorted((rng.randint(-bound, bound) for _ in range(ctx.quotient_rank)), reverse=True))
-    mu = tuple(sorted((rng.randint(-bound, bound) for _ in range(ctx.k)), reverse=True))
-    return Bundle(lam, mu)
+    lam = sorted([rng.randint(-bound, bound) for _ in range(ctx.quotient_rank)], reverse=True)
+    mu = sorted([rng.randint(-bound, bound) for _ in range(ctx.k)], reverse=True)
+    return Bundle(tuple(lam), tuple(mu))
 
 
 def serre_suite(per_context: int) -> dict:

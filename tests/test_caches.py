@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import bbwkoszul
-from bbwkoszul import checks, classes, weights
+from bbwkoszul import checks, classes, koszul, oracles, weights
 from bbwkoszul.bbw import Grassmannian
 from bbwkoszul.checks import run_checks
 
@@ -44,10 +44,19 @@ def test_every_lru_cache_is_bounded():
         "bbwkoszul.classes.named_class",
         "bbwkoszul.checks._plethysm_character_ok",
         "bbwkoszul.koszul.koszul_analysis",
+        "bbwkoszul.koszul.deformation_numbers",
         "bbwkoszul.oracles.kostka_number",
+        "bbwkoszul.oracles._gl2_character",
+        "bbwkoszul.oracles._partition_list",
     } <= set(caches)
     unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
     assert not unbounded
+    assert caches["bbwkoszul.koszul.deformation_numbers"].cache_info().maxsize == 2
+    assert caches["bbwkoszul.oracles._gl2_character"].cache_info().maxsize == 256
+    assert caches["bbwkoszul.oracles._partition_list"].cache_info().maxsize == 128
+    assert koszul.DEFORMATION_CACHE_SIZE == 2
+    assert oracles.GL2_CHARACTER_CACHE_SIZE == 256
+    assert oracles.PARTITION_LIST_CACHE_SIZE == 128
 
 
 def test_wedge_weights_value_is_read_only():
@@ -66,6 +75,23 @@ def test_tensor_weights_value_is_read_only():
     assert square == {(2, 0): 1, (1, 1): 1}
     # lists and tuples of one weight share a key
     assert weights.tensor_weights((1, 0), [1, 0]) is square
+
+
+def test_gl2_character_value_is_read_only():
+    character = oracles.gl2_character([3, 1])
+    with pytest.raises(TypeError):
+        character[(0, 4)] = 1
+    assert character == {(3, 1): 1, (2, 2): 1, (1, 3): 1}
+    # lists and tuples of one weight share a key
+    assert oracles.gl2_character((3, 1)) is character
+    with pytest.raises(ValueError):
+        oracles.gl2_character((1, 3))
+
+
+def test_partition_lists_are_built_once():
+    listed = oracles._partition_list(5, 3)
+    assert listed == tuple(weights.partitions_of(5, max_parts=3))
+    assert oracles._partition_list(5, 3) is listed
 
 
 def test_named_classes_are_built_once():

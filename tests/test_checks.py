@@ -195,13 +195,23 @@ class TestPlethysmIdentity:
     def test_wrong_wedge3_fails_after_a_passing_call(self):
         exp = self.expected_at(6)
         assert checks._run_plethysm(6, exp)[0] == checks.PASS
-        # (6, 3) twice: the class comparison sees one summand, so only the
-        # character of the weights with multiplicity tells it apart
+        # (6, 3) twice: both the class comparison, which counts each listed
+        # weight, and the character of the weights with multiplicity fail
         doubled = dict(exp, wedge3=[[6, 3], [6, 3]])
         assert checks._run_plethysm(6, doubled)[0] == checks.FAIL
         assert checks._run_plethysm(7, doubled)[0] == checks.FAIL
         assert checks._run_plethysm(6, dict(exp, wedge3=[[5, 4]]))[0] == checks.FAIL
         assert checks._run_plethysm(7, exp)[0] == checks.PASS
+
+    def test_class_comparison_counts_repeated_weights(self, monkeypatch):
+        # with the character identity forced true, only the class comparison
+        # can see that (6, 3) is listed twice
+        monkeypatch.setattr(checks, "_plethysm_character_ok", lambda level, weights: True)
+        exp = self.expected_at(6)
+        assert checks._run_plethysm(6, exp)[0] == checks.PASS
+        doubled = dict(exp, wedge3=[[6, 3], [6, 3]])
+        assert checks._run_plethysm(6, doubled)[0] == checks.FAIL
+        assert checks._run_plethysm(7, doubled)[0] == checks.FAIL
 
     def test_character_identity_is_keyed_on_level_and_weights(self):
         assert checks._plethysm_character_ok(3, ((6, 3),))

@@ -14,7 +14,7 @@ from bbwkoszul.classes import (
 )
 from bbwkoszul import koszul
 from bbwkoszul.koszul import verify_claimed_decompositions
-from bbwkoszul.oracles import gl2_tensor, schur_product_decomposition
+from bbwkoszul.oracles import gl2_tensor, random_bundle, schur_product_decomposition
 
 GR27 = Grassmannian(2, 7)
 P6 = Grassmannian.projective_space(7)
@@ -253,6 +253,33 @@ class TestBoundaryChecks:
             )
 
 
+class TestHash:
+    @given(st.data())
+    def test_cached_hash_is_the_hash_of_the_summands(self, data):
+        k = data.draw(st.integers(1, 3))
+        ctx = Grassmannian(k, data.draw(st.integers(k + 1, 8)))
+        rng = data.draw(st.randoms(use_true_random=False))
+        summands = {
+            random_bundle(ctx, rng, 2): data.draw(st.integers(1, 3))
+            for _ in range(data.draw(st.integers(1, 3)))
+        }
+        built = EquivariantClass(ctx, summands)
+        other = EquivariantClass(ctx, {random_bundle(ctx, rng, 1): 1})
+        t = data.draw(st.integers(-3, 3))
+        pairs = [
+            (built, EquivariantClass._trusted(ctx, dict(summands))),
+            (built + other, other + built),
+            (built.tensor(other), other.tensor(built)),
+            (built.shifted(t), EquivariantClass(ctx, built.shifted(t).summands())),
+        ]
+        for first, second in pairs:
+            assert first == second
+            expected = hash((first.ctx, frozenset(first.summands().items())))
+            # the first read fills the slot, the second reads it
+            assert hash(first) == hash(second) == expected
+            assert hash(first) == hash(second) == expected
+
+
 class PairMapping(Mapping):
     """A read-only mapping over (key, value) pairs whose keys need not be hashable."""
 
@@ -313,6 +340,33 @@ class TestDetShift:
     def test_empty_classes(self):
         assert det_shift(EquivariantClass.empty(GR27), EquivariantClass.empty(GR27)) == 0
         assert det_shift(EquivariantClass.empty(GR27), named_class(GR27, "S")) is None
+
+    def test_one_subbundle_part_off_under_a_shared_quotient_part(self):
+        q, q1 = (1, 0, 0, 0, 0), (2, 1, 1, 1, 1)
+        a_parts = [(Bundle(q, (3, -1)), 1), (Bundle(q, (2, 0)), 1)]
+        b_parts = [(Bundle(q1, (4, 0)), 1), (Bundle(q1, (3, 2)), 1)]  # (2, 0) twisted is (3, 1)
+        # in either insertion order, so that the off part is not always first
+        for order in (1, -1):
+            a = EquivariantClass(GR27, dict(a_parts[::order]))
+            b = EquivariantClass(GR27, dict(b_parts[::order]))
+            assert det_shift(a, b) is None
+            assert det_shift(a, a.shifted(1)) == 1
+
+    def test_two_quotient_parts_both_twisted(self):
+        q, r = (1, 0, 0, 0, 0), (0, 0, 0, 0, -2)
+        a = EquivariantClass(GR27, {Bundle(q, (0, -1)): 1, Bundle(r, (3, -1)): 2})
+        b = EquivariantClass(
+            GR27, {Bundle((3, 2, 2, 2, 2), (2, 1)): 1, Bundle((2, 2, 2, 2, 0), (5, 1)): 2}
+        )
+        assert det_shift(a, b) == 2
+        assert det_shift(b, a) == -2
+
+    def test_one_multiplicity_differs(self):
+        q, q1 = (1, 0, 0, 0, 0), (0, -1, -1, -1, -1)
+        a = EquivariantClass(GR27, {Bundle(q, (0, -1)): 1, Bundle(q, (3, -1)): 2})
+        b = EquivariantClass(GR27, {Bundle(q1, (-1, -2)): 1, Bundle(q1, (2, -2)): 1})
+        assert det_shift(a, b) is None
+        assert det_shift(b, a) is None
 
     @given(st.data())
     def test_forced_twist(self, data):

@@ -152,6 +152,17 @@ def dense_verdicts(page):
     def entry_dimension(p, q):
         return page.columns[p].dimension(q) if p in page.columns else 0
 
+    def entry_blocking(p, q):
+        # every slot a later differential could join to (p, q), compared
+        # by the frozen constituent sets of the two entries
+        mine = page.entry_constituents(p, q)
+        return tuple(
+            ((p, q), (pp, qq), r)
+            for r in range(1, -page.p_min + 1)
+            for pp, qq in ((p - r, q + r - 1), (p + r, q - r + 1))
+            if mine & page.entry_constituents(pp, qq)
+        )
+
     out = {}
     top = page.ctx.dimension
     for m in range(page.p_min, top + 1):
@@ -163,9 +174,7 @@ def dense_verdicts(page):
         upper = sum(entry_dimension(p, q) for p, q in contributing)
         if not upper:
             continue
-        blocking = tuple(
-            pair for p, q in contributing for pair in koszul._entry_blocking(page, p, q)
-        )
+        blocking = tuple(pair for p, q in contributing for pair in entry_blocking(p, q))
         out[m] = DegreeVerdict(m, not blocking, None if blocking else upper, upper, blocking)
     return out
 
@@ -291,6 +300,17 @@ class TestMemo:
         monkeypatch.setattr(koszul, "build_page", counting)
         run_checks(5, 6, ["prop-cubic", "prop-fano", "theorem-moduli"])
         assert len(built) == 8
+
+    def test_deformation_numbers_are_computed_once_per_d_and_side(self):
+        info = koszul.deformation_numbers.cache_info()
+        assert info.maxsize == koszul.DEFORMATION_CACHE_SIZE == 2
+        first = deformation_numbers(7, "fano")
+        assert deformation_numbers(7, "fano") is first
+        assert first.h1_tangent == comb(9, 3)
+        for _ in range(2):  # a raise is not cached
+            for d, side in ((4, "fano"), (2, "cubic"), (7, "quartic")):
+                with pytest.raises(ValueError):
+                    deformation_numbers(d, side)
 
     def test_views_return_copies(self):
         ctx = plane(5)
