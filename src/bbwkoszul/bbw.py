@@ -154,9 +154,6 @@ class CohomologyProfile:
     def weights(self, q: int) -> Counter[Weight]:
         return Counter(self._groups.get(q, {}))
 
-    def constituents(self, q: int) -> frozenset[Weight]:
-        return frozenset(self._groups.get(q, ()))
-
     def dimension(self, q: int) -> int:
         return sum(
             m * weyl_dimension(w, self.n) for w, m in self._groups.get(q, {}).items()

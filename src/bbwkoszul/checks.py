@@ -136,7 +136,9 @@ def _run_lemma_s(d: int, exp: dict):
 
 
 # (level, weights) keys of the plethysm identity: one per exterior power
-# the plethysm-eq4 check compares, three per run, whatever the d range.
+# the plethysm-eq4 check compares, and one per power the d = 5
+# lemma-cohomology cross-check reads off wedge_weights, which may list the
+# same weights in another order: at most six per run, whatever the d range.
 PLETHYSM_CACHE_SIZE = 8
 
 
@@ -160,11 +162,7 @@ def _run_plethysm(d: int, exp: dict):
     for level in (2, 3, 4):
         expected_weights = [tuple(w) for w in exp[f"wedge{level}"]]
         # each weight counted as often as it is listed; the constructor validates
-        summands: dict[Bundle, int] = {}
-        for mu in expected_weights:
-            bundle = Bundle(zero_q, mu)
-            summands[bundle] = summands.get(bundle, 0) + 1
-        target = EquivariantClass(ctx, summands)
+        target = EquivariantClass(ctx, Counter(Bundle(zero_q, mu) for mu in expected_weights))
         power = wedge_class(sym3, level)
         char_ok = _plethysm_character_ok(level, tuple(expected_weights))
         computed[f"wedge{level}"] = sorted(list(b.mu_s) for b in power.summands())
@@ -189,16 +187,11 @@ def _run_decompositions(d: int, exp: dict):
 def _lemma_profiles(d: int):
     """Koszul-term cohomologies, read off the memoised ideal-sheaf pages.
 
-    Column p of the page of F is the cohomology of the wedge_level(p)-th
-    exterior power of the cubic power of S tensored with F. Returns the
-    context, {(factor label, level): profile} and the pairing, which is
-    level 1 of the normal side.
+    Returns the context, {(factor label, level): profile} from
+    ``factor_pages`` and the pairing, which is level 1 of the normal side.
     """
     ctx = _plane(d)
-    profiles = {}
-    for label, page in factor_pages(ctx).items():
-        for p in sorted(page.columns, key=page.wedge_level):
-            profiles[label, page.wedge_level(p)] = page.columns[p]
+    profiles = {key: column for key, (_, column) in factor_pages(ctx).items()}
     pairing = profiles.pop(("sym3dual", 1))
     return ctx, profiles, pairing
 
@@ -251,11 +244,8 @@ def _run_lemma_cohomology(d: int, exp: dict):
         return PASS, computed, expected, "", ()
     # the placement differs from the claim; make sure the engine's own
     # cross-checks hold before reporting it as a finding
-    from .oracles import character_of_combination, elementary_character
-
     cross_ok = all(
-        character_of_combination(wedge_weights((3, 0), lvl))
-        == elementary_character((3, 0), lvl)
+        _plethysm_character_ok(lvl, tuple(Counter(wedge_weights((3, 0), lvl)).elements()))
         for lvl in (2, 3, 4)
     ) and euler_consistency(ctx, named_class(ctx, "sym_cube_dual"))
     if not cross_ok:
@@ -373,8 +363,6 @@ class CheckDef(NamedTuple):
         return f"d >= {self.min_d}"
 
     def applies(self, d: int) -> bool:
-        if self.d_independent:
-            return True
         if self.only_d is not None:
             return d in self.only_d
         return d >= self.min_d

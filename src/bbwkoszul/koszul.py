@@ -10,15 +10,13 @@ tensored terms too, and the displayed decompositions of the terms are
 checked against them.
 
 Degeneration is decided by the engine's current heuristic, the isolation
-rule. An entry is taken to survive to the abutment when it is
-differential-isolated: every slot a differential could connect it to, on
-any later page, is either empty or shares no GL(V)-irreducible constituent
-with it. A total degree whose entries are all isolated gets an exact
-dimension; anything else is reported as a range. The rule is known to be
-unsound outside the paper's rows: the differentials contract with the
-fixed cubic f, which is not GL(V)-invariant, so disjoint isotypic
-supports do not force them to vanish (ROADMAP item 1; the witness is
-tests/test_koszul.py::test_isolation_rule_witness).
+rule, which the one predicate ``_may_join`` states. An entry is taken to
+survive to the abutment when it is differential-isolated: every slot a
+differential could connect it to, on any later page, is either empty or
+shares no GL(V)-irreducible constituent with it. A total degree whose
+entries are all isolated gets an exact dimension; anything else is
+reported as a range. The comparison maps of the restriction sequence go
+through the same predicate.
 
 Two facts consumed from outside (vanishing of global tangent fields of
 the zero locus, and of a smooth cubic) are data in an axiom registry, and
@@ -27,6 +25,7 @@ every number assembled with their help names them.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
@@ -87,22 +86,12 @@ class KoszulPage(NamedTuple):
     def wedge_level(self, p: int) -> int:
         return _wedge_level(self.variant, p)
 
-    def entry_constituents(self, p: int, q: int) -> frozenset[Weight]:
-        col = self.columns.get(p)
-        return col.constituents(q) if col is not None else frozenset()
-
     def nonzero_entries(self) -> list[tuple[int, int, int]]:
         """All (p, q, dimension) with a nonzero entry, sorted."""
         out = []
         for p in sorted(self.columns):
             for q in self.columns[p].degrees():
                 out.append((p, q, self.columns[p].dimension(q)))
-        return out
-
-    def total_degree_constituents(self, m: int) -> frozenset[Weight]:
-        out: frozenset[Weight] = frozenset()
-        for p in self.columns:
-            out |= self.entry_constituents(p, m - p)
         return out
 
     def euler_characteristic(self) -> int:
@@ -121,7 +110,7 @@ def build_page(
     if coefficient.ctx != ctx:
         raise ValueError("coefficient class lives on a different context")
     sym3 = named_class(ctx, "sym_cube")
-    resolution_rank = named_class(ctx, "sym_cube_dual").rank()
+    resolution_rank = sym3.rank()
     if variant == IDEAL_SHEAF:
         ps = range(-resolution_rank + 1, 1)
     else:
@@ -158,20 +147,36 @@ class DegreeVerdict(NamedTuple):
         return out
 
 
+def _may_join(
+    source: Mapping[Weight, int] | None, target: Mapping[Weight, int] | None
+) -> bool:
+    """The isolation rule: whether a map between two groups of GL(V)-weights may be nonzero.
+
+    Each argument maps highest weights to multiplicities, None or empty for
+    a zero group. The rule takes a map to vanish unless both sides are
+    nonzero and share an irreducible constituent. It decides both the page
+    differentials (``_entry_blocking``) and the comparison maps of the
+    restriction sequence (``koszul_analysis``, from each page entry of the
+    degree to the ambient group). It is unsound outside the
+    paper's rows: the differentials contract with the fixed cubic f, which
+    is not GL(V)-invariant, so disjoint isotypic supports do not force them
+    to vanish (ROADMAP item 1, whose fix replaces this predicate; the
+    witness is tests/test_koszul.py::test_isolation_rule_witness).
+    """
+    return bool(source) and bool(target) and not source.keys().isdisjoint(target)
+
+
 def _entry_blocking(
     groups: Mapping[tuple[int, int], Mapping[Weight, int]], p_min: int, p: int, q: int
 ) -> tuple[BlockingPair, ...]:
-    mine = groups.get((p, q))
-    if not mine:
-        return ()
-    mine_keys = mine.keys()
-    found = []
-    for r in range(1, -p_min + 1):
-        for pp, qq in ((p - r, q + r - 1), (p + r, q - r + 1)):
-            other = groups.get((pp, qq))
-            if other and not mine_keys.isdisjoint(other):
-                found.append(((p, q), (pp, qq), r))
-    return tuple(found)
+    """The later differentials into or out of the nonzero entry (p, q) that may be nonzero."""
+    mine = groups[p, q]
+    return tuple(
+        ((p, q), (pp, qq), r)
+        for r in range(1, -p_min + 1)
+        for pp, qq in ((p - r, q + r - 1), (p + r, q - r + 1))
+        if _may_join(mine, groups.get((pp, qq)))
+    )
 
 
 def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
@@ -180,8 +185,8 @@ def analyze(page: KoszulPage) -> dict[int, DegreeVerdict]:
     Only a total degree with a nonzero entry gets a verdict, in increasing
     order; the abutment vanishes in every other degree. A degree is
     determined exactly when every contributing entry is
-    differential-isolated; its dimension is then the plain sum of the
-    entry dimensions. The constituents of every entry are read from one
+    differential-isolated (``_may_join`` admits no partner); its
+    dimension is then the plain sum of the entry dimensions. The constituents of every entry are read from one
     {(p, q): group} map of the page.
     """
     groups = {
@@ -260,9 +265,9 @@ def koszul_analysis(ctx: Grassmannian, coefficient: EquivariantClass) -> KoszulA
 
     where a_m is the comparison map H^m(I(x)F) -> H^m(F). The rank is
     pinned when it is forced: a_0 is injective and a zero side forces
-    rank 0. The isolation heuristic of the module docstring also takes
-    rank 0 for disjoint GL(V)-isotypic supports, which is unsound in
-    general (ROADMAP item 1). Anything else keeps the value a range.
+    rank 0. The isolation rule ``_may_join`` also takes rank 0 when no
+    page entry of total degree m shares a constituent with H^m(F).
+    Anything else keeps the value a range.
     """
     page = build_page(ctx, IDEAL_SHEAF, coefficient)
     verdicts = analyze(page)
@@ -286,7 +291,10 @@ def koszul_analysis(ctx: Grassmannian, coefficient: EquivariantClass) -> KoszulA
             return zero
         if degree == 0:
             return a  # global sections of a subsheaf inject
-        if not (page.total_degree_constituents(degree) & ambient.constituents(degree)):
+        # H^m(I(x)F) is built from the page entries of total degree m
+        target = ambient._groups.get(degree)
+        entries = (col._groups.get(degree - p) for p, col in page.columns.items())
+        if not any(_may_join(entry, target) for entry in entries):
             return zero
         return DimValue(0, min(a.upper, b_dim))
 
@@ -448,16 +456,23 @@ def euler_consistency(ctx: Grassmannian, coefficient: EquivariantClass) -> bool:
     )
 
 
-def factor_pages(ctx: Grassmannian) -> dict[str, KoszulPage]:
-    """The memoised ideal-sheaf pages of the tangent bundle and the dual cubic power.
+def factor_pages(
+    ctx: Grassmannian,
+) -> dict[tuple[str, int], tuple[EquivariantClass, CohomologyProfile]]:
+    """The terms and columns of the memoised ideal-sheaf pages of the two factors.
 
-    Keyed by the labels the displayed decompositions use, "tangent" and
-    "sym3dual"; their terms are the classes of the vanishing table.
+    The factors are the tangent bundle and the dual cubic power, labelled
+    "tangent" and "sym3dual" as in the displayed decompositions. Keyed by
+    (label, wedge level), in that order and with levels increasing; the
+    value is the Koszul term of that level and its cohomology, the classes
+    and groups of the vanishing table.
     """
-    return {
-        label: koszul_analysis(ctx, named_class(ctx, name)).page
-        for label, name in (("tangent", "tangent"), ("sym3dual", "sym_cube_dual"))
-    }
+    out = {}
+    for label, name in (("tangent", "tangent"), ("sym3dual", "sym_cube_dual")):
+        page = koszul_analysis(ctx, named_class(ctx, name)).page
+        for p in sorted(page.columns, key=page.wedge_level):
+            out[label, page.wedge_level(p)] = page.terms[p], page.columns[p]
+    return out
 
 
 class DecompositionComparison(NamedTuple):
@@ -503,20 +518,12 @@ def verify_claimed_decompositions(d: int) -> list[DecompositionComparison]:
     if d < 3:
         raise ValueError("need d >= 3")
     ctx = Grassmannian(2, d + 2)
-    terms = {
-        (factor, page.wedge_level(p)): term
-        for factor, page in factor_pages(ctx).items()
-        for p, term in page.terms.items()
-    }
+    factors = factor_pages(ctx)
     out = []
     for level, factor, q_weight, s_weights in _claimed_lines(d):
-        computed = terms[factor, level]
-        # a plain dict, not a Counter; the public constructor validates each bundle
-        summands: dict[Bundle, int] = {}
-        for mu in s_weights:
-            bundle = Bundle(q_weight, mu)
-            summands[bundle] = summands.get(bundle, 0) + 1
-        claimed = EquivariantClass(ctx, summands)
+        computed, _ = factors[factor, level]
+        # the public constructor validates each bundle
+        claimed = EquivariantClass(ctx, Counter(Bundle(q_weight, mu) for mu in s_weights))
         out.append(
             DecompositionComparison(
                 f"wedge{level}_{factor}", computed, claimed, det_shift(computed, claimed)

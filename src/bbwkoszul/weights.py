@@ -40,8 +40,8 @@ Weight = tuple[int, ...]
 # per run: 125 for the default report, 124 for lr_suite(6) and 497 for
 # ssyt_weyl_suite(8, 6). Exterior-power keys measured per run: 7 for the
 # default report (powers 0..4 of the cubic power of a rank-2 subbundle,
-# 0..1 of a line subbundle) and 7 for a 50-d paper sweep, whose top powers
-# reach the low ones through duality. Tensor-product keys (a, b) measured
+# 0..1 of a line subbundle) and 6 for a 50-d paper sweep (power 1 of the
+# line subbundle only). Tensor-product keys (a, b) measured
 # per run: 521 for the default report, 166 for a 50-d paper sweep, 16 for
 # one theorem-moduli d and 303 for serre_suite(60). The bounds keep a
 # long-lived process from growing without limit.
@@ -393,33 +393,18 @@ def wedge_weights(w: Weight, j: int) -> Mapping[Weight, int]:
 
     Sums the weights of every j-subset of a weight basis, listed with
     multiplicity from ``weight_multiplicities``, and hands the character
-    to ``_straighten``. Like ``tensor_weights``, it works through the dual
-    when the dual's partition is smaller. Above half the dimension it
-    uses the duality of the powers, wedge^j V = (wedge^(dim-j) V)* (x)
-    wedge^dim V, whose last factor is the constant weight
-    sum(w) * dim / n: the largest layer of subset sums is the one at
-    dim/2. Empty for j above the dimension. ``w`` is a tuple, whose
-    length is n, and the result is cached on (w, j): a read-only mapping
-    from each highest weight to its multiplicity.
+    to ``_straighten``. Empty for j above the dimension. ``w`` is a tuple,
+    whose length is n, and the result is cached on (w, j): a read-only
+    mapping from each highest weight to its multiplicity.
     """
     if j < 0:
         raise ValueError("negative exterior power")
     if not is_dominant(w):
         raise ValueError(f"weight not dominant: {w}")
-    if _dual_is_smaller(w):
-        dual = wedge_weights(_dual(w), j)
-        return MappingProxyType(Counter({_dual(x): m for x, m in dual.items()}))
     n, low = len(w), w[-1]
     basis = [nu for nu, m in weight_multiplicities([x - low for x in w], n) for _ in range(m)]
-    dim = len(basis)
-    if j > dim:
+    if j > len(basis):
         return MappingProxyType(Counter())
-    if 2 * j > dim:
-        top = sum(w) * dim // n
-        partner = wedge_weights(w, dim - j)
-        return MappingProxyType(
-            Counter({tuple(top - x for x in reversed(mu)): m for mu, m in partner.items()})
-        )
     # sums[i]: the weights of the i-subsets of the basis seen so far
     sums = [Counter({(0,) * n: 1})] + [Counter() for _ in range(j)]
     for nu in basis:

@@ -152,15 +152,18 @@ def dense_verdicts(page):
     def entry_dimension(p, q):
         return page.columns[p].dimension(q) if p in page.columns else 0
 
+    def entry_constituents(p, q):
+        return frozenset(page.columns[p].weights(q)) if p in page.columns else frozenset()
+
     def entry_blocking(p, q):
         # every slot a later differential could join to (p, q), compared
         # by the frozen constituent sets of the two entries
-        mine = page.entry_constituents(p, q)
+        mine = entry_constituents(p, q)
         return tuple(
             ((p, q), (pp, qq), r)
             for r in range(1, -page.p_min + 1)
             for pp, qq in ((p - r, q + r - 1), (p + r, q - r + 1))
-            if mine & page.entry_constituents(pp, qq)
+            if mine & entry_constituents(pp, qq)
         )
 
     out = {}
@@ -395,6 +398,32 @@ def test_axiom_registry():
     for axiom in AXIOMS.values():
         assert axiom.statement and axiom.source
         assert "assumed" in axiom.source
+
+
+def test_the_isolation_rule_has_one_home(monkeypatch):
+    # Made conservative (any two nonzero groups may join), the one predicate
+    # turns every value the rule pinned into a range: on the page and in
+    # the comparison maps alike, so neither use has a copy of its own.
+    normal = {d: (plane(d), named_class(plane(d), "sym_cube_dual")) for d in (3, 4)}
+    ctx = Grassmannian(2, 4)
+    mixed = EquivariantClass.irreducible(ctx, (2, -1), (1, -1))
+    koszul_analysis.cache_clear()
+    before = koszul_analysis(ctx, mixed)
+    assert before.restricted[:2] == (DimValue.of(360), DimValue.of(36))
+    assert koszul_analysis(*normal[3]).restricted[0] == DimValue.of(109)
+    monkeypatch.setattr(koszul, "_may_join", lambda a, b: bool(a) and bool(b))
+    koszul_analysis.cache_clear()
+    try:
+        assert koszul_analysis(*normal[3]).restricted[0] == DimValue(34, 109)
+        assert koszul_analysis(*normal[4]).restricted[1:3] == (DimValue(0, 36), DimValue(0, 56))
+        # the three entries of this page, all in total degree 1, meet no
+        # other slot, so only the comparison map H^1(I(x)F) -> H^1(F) can
+        # feel the change
+        after = koszul_analysis(ctx, mixed)
+        assert after.verdicts == before.verdicts
+        assert after.restricted[:2] == (DimValue(324, 360), DimValue(0, 36))
+    finally:
+        koszul_analysis.cache_clear()
 
 
 @pytest.mark.xfail(

@@ -333,46 +333,37 @@ class TestWedgeWeights:
         # decomposition. Times the Vandermonde a_rho, each Schur polynomial
         # s_mu becomes the alternant a_(mu + rho) (Jacobi's bialternant
         # formula), so both sides are plain polynomial arithmetic: no
-        # straightening, and no tableau of the large shapes.
+        # straightening, and no tableau of the large shapes. A weight w whose
+        # last entry is not 0 is the partition w - w[-1] twisted by
+        # det^w[-1], which shifts every weight of the j-th power by j * w[-1].
+        padded = [
+            shape + (0,) * (n - len(shape))
+            for size in range(4)
+            for shape in partitions_of(size)
+            for n in range(max(len(shape), 1), 5)
+        ]
+        twisted = [(3, 0, 0, 0), (2, 1, 0), (1, 1, 0, 0), (2, 0, -1), (3, -1), (0, 0, -3), (2, 2, 2)]
         cases = 0
-        for size in range(4):
-            for shape in partitions_of(size):
-                for n in range(max(len(shape), 1), 5):
-                    staircase = tuple(range(n - 1, -1, -1))
-                    vandermonde = alternant(staircase)
-                    monomials = oracles._schur_monomials(shape, n)
-                    dim = sum(monomials.values())
-                    powers = elementary_expansion(monomials, dim + 1)
-                    padded = shape + (0,) * (n - len(shape))
-                    for j in range(dim + 2):
-                        alternants = Counter()
-                        for mu, m in wedge_weights(padded, j).items():
-                            for e, c in alternant(tuple(map(add, mu, staircase))).items():
-                                alternants[e] += m * c
-                        nonzero = {e: c for e, c in alternants.items() if c}
-                        assert times(powers[j], vandermonde) == nonzero, (shape, n, j)
-                        cases += 1
-        assert cases == 162
-
-    def test_top_powers_by_duality(self):
-        # above half the dimension wedge_weights goes through
-        # (wedge^(dim-j) V)* (x) det; here every layer of subset sums is
-        # straightened directly, in one pass per weight
-        for w in ((3, 0, 0, 0), (2, 1, 0), (1, 1, 0, 0), (2, 0, -1), (3, -1), (0, 0, -3), (2, 2, 2)):
+        for w in padded + twisted:
             n, low = len(w), w[-1]
-            basis = [
-                nu
-                for nu, m in weight_multiplicities([x - low for x in w], n)
-                for _ in range(m)
-            ]
-            dim = len(basis)
-            layers = elementary_expansion(Counter(basis), dim + 1)
+            staircase = tuple(range(n - 1, -1, -1))
+            vandermonde = alternant(staircase)
+            monomials = oracles._schur_monomials(as_partition(x - low for x in w), n)
+            dim = sum(monomials.values())
+            powers = elementary_expansion(monomials, dim + 1)
             for j in range(dim + 2):
-                direct = weights._straighten((j * low,) * n, layers[j].items())
-                assert wedge_weights(w, j) == direct, (w, j)
+                alternants = Counter()
+                for mu, m in wedge_weights(w, j).items():
+                    untwisted = tuple(x - j * low + r for x, r in zip(mu, staircase))
+                    for e, c in alternant(untwisted).items():
+                        alternants[e] += m * c
+                nonzero = {e: c for e, c in alternants.items() if c}
+                assert times(powers[j], vandermonde) == nonzero, (w, j)
+                cases += 1
+        assert cases == 241
 
     def test_negative_entries_and_duals(self):
-        # the dual of the cubic power in rank 3 goes through its dual
+        # the dual of the cubic power in rank 3, and powers of the determinant
         assert wedge_weights((0, 0, -3), 2) == {(0, -3, -3): 1, (0, -1, -5): 1}
         assert wedge_weights((3, 0, 0), 2) == {(3, 3, 0): 1, (5, 1, 0): 1}
         assert wedge_weights((2, 2, 2), 1) == {(2, 2, 2): 1}
