@@ -362,6 +362,22 @@ class TestWedgeWeights:
                 cases += 1
         assert cases == 241
 
+    def test_top_powers_by_duality(self):
+        # wedge^j V = (wedge^(dim-j) V)* (x) det V, with det V = wedge^dim V a
+        # single constant weight. wedge_weights lists every power directly,
+        # so the duality is an independent check of the top half.
+        for w in ((3, 0, 0, 0), (2, 1, 0), (1, 1, 0, 0), (2, 0, -1), (3, -1), (0, 0, -3), (2, 2, 2)):
+            n, dim = len(w), weyl_dimension(w)
+            (top, mult), = wedge_weights(w, dim).items()
+            assert mult == 1 and len(set(top)) == 1, w
+            for j in range(dim + 1):
+                dual = {
+                    tuple(t - x for t, x in zip(top, reversed(mu))): m
+                    for mu, m in wedge_weights(w, dim - j).items()
+                }
+                assert wedge_weights(w, j) == dual, (w, j)
+            assert wedge_weights(w, dim + 1) == {}
+
     def test_negative_entries_and_duals(self):
         # the dual of the cubic power in rank 3, and powers of the determinant
         assert wedge_weights((0, 0, -3), 2) == {(0, -3, -3): 1, (0, -1, -5): 1}
