@@ -13,8 +13,7 @@ A class built by hand (``EquivariantClass(...)``, ``irreducible``)
 validates every bundle. The classes the engine builds from valid ones
 (``tensor``, ``shifted``, ``wedge_class``, ``+``) and the profiles of
 their cohomology are trusted and not checked again, and ``named_class``
-builds each (context, name) once, in a bounded cache. Classes are
-immutable, so each hashes its summands once and keeps the hash.
+builds each (context, name) once, in a bounded cache.
 
 Displayed decompositions in the source material trivialize det V; the
 engine never does. ``det_shift`` is the single point where classes are
@@ -45,7 +44,7 @@ from .weights import Weight, tensor_weights, wedge_weights
 class EquivariantClass:
     """Non-negative integer combination of irreducible homogeneous bundles."""
 
-    __slots__ = ("ctx", "_summands", "_hash")
+    __slots__ = ("ctx", "_summands")
 
     def __init__(self, ctx: Grassmannian, summands: Mapping[Bundle, int] | None = None):
         self.ctx = ctx
@@ -61,7 +60,6 @@ class EquivariantClass:
                 validate_bundle(ctx, bundle)
                 store[bundle] = store.get(bundle, 0) + m
         self._summands = store
-        self._hash = None
 
     @classmethod
     def _trusted(cls, ctx: Grassmannian, summands: dict[Bundle, int]) -> "EquivariantClass":
@@ -69,7 +67,6 @@ class EquivariantClass:
         built = object.__new__(cls)
         built.ctx = ctx
         built._summands = summands
-        built._hash = None
         return built
 
     @classmethod
@@ -144,9 +141,7 @@ class EquivariantClass:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ctx, frozenset(self._summands.items())))
-        return self._hash
+        return hash((self.ctx, frozenset(self._summands.items())))
 
     def __repr__(self) -> str:
         if self.is_empty:

@@ -380,21 +380,13 @@ class DeformationNumbers(NamedTuple):
     axioms_used: tuple[str, ...]
 
 
-# A sweep asks for both sides of one d four times (prop-cubic, prop-fano
-# and theorem-moduli twice) but needs two values; run_checks visits
-# d-major, so two entries catch every reuse.
-DEFORMATION_CACHE_SIZE = 2
-
-
-@lru_cache(maxsize=DEFORMATION_CACHE_SIZE)
 def deformation_numbers(d: int, side: str) -> DeformationNumbers:
     """Number of first-order deformations, for the hypersurface or its line scheme.
 
     side "cubic" works on projective space with normal class O(3) and
     needs d >= 3; side "fano" works on the Grassmannian of 2-planes with
     the dual cubic power of S as normal class and needs d >= 5. Raises
-    UnderdeterminedError when a needed verdict is only a range. The value
-    is immutable and cached on (d, side).
+    UnderdeterminedError when a needed verdict is only a range.
     """
     side = side.lower()
     if side == "cubic":
