@@ -87,11 +87,25 @@ class Bundle(NamedTuple):
 
 
 def validate_bundle(ctx: Grassmannian, bundle: Bundle) -> None:
-    lam, mu = bundle
-    if len(lam) != ctx.n - ctx.k or len(mu) != ctx.k:
+    lam = bundle.lam_q
+    if len(lam) != ctx.n - ctx.k:
         raise ValueError(f"{bundle} does not fit Gr({ctx.k},{ctx.n})")
     # one sort per factor: a dominant factor is a single run, so this is linear
-    if not (list(lam) == sorted(lam, reverse=True) and list(mu) == sorted(mu, reverse=True)):
+    if list(lam) != sorted(lam, reverse=True):
+        raise ValueError(f"{bundle} has a non-dominant factor")
+    validate_subbundle_factor(ctx, bundle)
+
+
+def validate_subbundle_factor(ctx: Grassmannian, bundle: Bundle) -> None:
+    """The checks of ``validate_bundle`` on ``mu_s`` alone.
+
+    For a bundle whose ``lam_q`` is a tuple that already passed
+    ``validate_bundle`` on the same context.
+    """
+    mu = bundle.mu_s
+    if len(mu) != ctx.k:
+        raise ValueError(f"{bundle} does not fit Gr({ctx.k},{ctx.n})")
+    if list(mu) != sorted(mu, reverse=True):
         raise ValueError(f"{bundle} has a non-dominant factor")
 
 
@@ -115,6 +129,11 @@ class CohomologyProfile:
     Only nonzero groups are stored. Dimensions are derived, never stored:
     each weight contributes its Weyl dimension times its multiplicity.
     Every weight must be a dominant weight of GL(n).
+
+    A class keeps the profile of its cohomology, so one profile may be
+    handed to many callers. No code mutates a profile once it is built:
+    ``weights`` returns a copy, and the Koszul layer only reads
+    ``_groups``. A new reader must keep it that way.
     """
 
     __slots__ = ("n", "_groups")

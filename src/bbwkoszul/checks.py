@@ -60,14 +60,19 @@ def _load_expected() -> dict[tuple[str, str], dict]:
 _EXPECTED = _load_expected()
 
 
-def expected_value(check: str, field: str, d: int):
-    row = _EXPECTED[(check, field)]
-    value = row["value"]
+def _resolve_expected(check: str, field: str) -> tuple[object, Callable[[int], int] | None]:
+    """One row of expected.json as (constant, None) or (None, its formula in d)."""
+    value = _EXPECTED[(check, field)]["value"]
     if isinstance(value, str):
         if value in FORMULAS:
-            return FORMULAS[value](d)
-        return int(value)
-    return value
+            return None, FORMULAS[value]
+        return int(value), None
+    return value, None
+
+
+def expected_value(check: str, field: str, d: int):
+    value, formula = _resolve_expected(check, field)
+    return value if formula is None else formula(d)
 
 
 def _index_expected() -> dict[str, tuple[tuple[str, ...], str]]:
@@ -518,15 +523,21 @@ def _resolve(check_ids) -> tuple[CheckDef, ...]:
     return tuple(c for c in CATALOG if c.check_id in wanted)
 
 
-def _execute(cdef: CheckDef, d: int | None) -> CheckResult:
-    fields, provenance = _BY_CHECK.get(cdef.check_id, _NO_ROWS)
+# a check's rows of expected.json, each as (field, constant, formula in d)
+_Rows = tuple[tuple[str, object, Callable[[int], int] | None], ...]
+
+
+def _execute(
+    cdef: CheckDef, d: int | None, rows: _Rows, provenance: str, axiom_dicts: dict[str, dict]
+) -> CheckResult:
     if d is not None and not cdef.applies(d):
         outcome = (SKIPPED, None, None, f"skipped: applies for {cdef.applicability}", ())
     else:
-        exp = {field: expected_value(cdef.check_id, field, d) for field in fields}
+        exp = {field: value if formula is None else formula(d) for field, value, formula in rows}
         outcome = cdef.run(d, exp)
     status, computed, expected, notes, axiom_names = outcome
-    axioms = tuple(AXIOMS[name].to_dict() for name in dict.fromkeys(axiom_names))
+    # copies, so that no two rows share a mutable dict
+    axioms = tuple(dict(axiom_dicts[name]) for name in dict.fromkeys(axiom_names))
     return CheckResult(
         check=cdef.check_id,
         d=d,
@@ -555,7 +566,15 @@ def run_checks(d_min: int = 3, d_max: int = 12, check_ids=None) -> Report:
     ]
     for d in range(d_min, d_max + 1):
         tasks.extend((cdef, d) for cdef in defs if not cdef.d_independent)
-    results = [_execute(cdef, d) for cdef, d in tasks]
+    # each check's expectations resolved once per call, not once per row;
+    # not at import, so that a patched expected.json row is seen
+    plans = {}
+    for cdef in defs:
+        fields, provenance = _BY_CHECK.get(cdef.check_id, _NO_ROWS)
+        rows = tuple((field, *_resolve_expected(cdef.check_id, field)) for field in fields)
+        plans[cdef.check_id] = (rows, provenance)
+    axiom_dicts = {name: axiom.to_dict() for name, axiom in AXIOMS.items()}
+    results = [_execute(cdef, d, *plans[cdef.check_id], axiom_dicts) for cdef, d in tasks]
     order = {c.check_id: i for i, c in enumerate(CATALOG)}
     results.sort(key=lambda r: (order[r.check], r.d if r.d is not None else -1))
     return Report(

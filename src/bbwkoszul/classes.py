@@ -10,10 +10,14 @@ summands, gathered into one profile, and each summand's group comes from
 ``bbw.bbw_cohomology``, which places the k subbundle entries.
 
 A class built by hand (``EquivariantClass(...)``, ``irreducible``)
-validates every bundle. The classes the engine builds from valid ones
-(``tensor``, ``shifted``, ``wedge_class``, ``+``) and the profiles of
-their cohomology are trusted and not checked again, and ``named_class``
-builds each (context, name) once, in a bounded cache.
+validates every bundle; summands that share one quotient tuple have it
+checked once. The classes the engine builds from valid ones (``tensor``,
+``shifted``, ``wedge_class``, ``+``) and the profiles of their cohomology
+are trusted and not checked again, and ``named_class`` builds each
+(context, name) once, in a bounded cache. A class is immutable and keeps
+the profile of its first ``cohomology()`` call, so a test that patches
+the BBW layer must clear ``named_class``'s cache as well as
+``koszul_analysis``'s.
 
 Displayed decompositions in the source material trivialize det V; the
 engine never does. ``det_shift`` is the single point where classes are
@@ -37,6 +41,7 @@ from .bbw import (
     bundle_rank,
     canonical_bundle,
     validate_bundle,
+    validate_subbundle_factor,
 )
 from .weights import Weight, tensor_weights, wedge_weights
 
@@ -44,11 +49,12 @@ from .weights import Weight, tensor_weights, wedge_weights
 class EquivariantClass:
     """Non-negative integer combination of irreducible homogeneous bundles."""
 
-    __slots__ = ("ctx", "_summands")
+    __slots__ = ("ctx", "_summands", "_profile")
 
     def __init__(self, ctx: Grassmannian, summands: Mapping[Bundle, int] | None = None):
         self.ctx = ctx
         store: dict[Bundle, int] = {}
+        checked_q = None  # the quotient tuple of the last summand validated in full
         for b, m in (summands or {}).items():
             if m < 0:
                 raise ValueError("negative multiplicity")
@@ -57,9 +63,15 @@ class EquivariantClass:
                     bundle = b  # already normalized: no rebuild, still validated
                 else:
                     bundle = Bundle(tuple(b.lam_q), tuple(b.mu_s))
-                validate_bundle(ctx, bundle)
+                if bundle.lam_q is checked_q:
+                    # a tuple is immutable: the same object passed already
+                    validate_subbundle_factor(ctx, bundle)
+                else:
+                    validate_bundle(ctx, bundle)
+                    checked_q = bundle.lam_q
                 store[bundle] = store.get(bundle, 0) + m
         self._summands = store
+        self._profile = None
 
     @classmethod
     def _trusted(cls, ctx: Grassmannian, summands: dict[Bundle, int]) -> "EquivariantClass":
@@ -67,6 +79,7 @@ class EquivariantClass:
         built = object.__new__(cls)
         built.ctx = ctx
         built._summands = summands
+        built._profile = None
         return built
 
     @classmethod
@@ -116,6 +129,9 @@ class EquivariantClass:
         return EquivariantClass._trusted(self.ctx, total)
 
     def cohomology(self) -> CohomologyProfile:
+        """The profile of the class, computed on the first call and shared after it."""
+        if self._profile is not None:
+            return self._profile
         groups: dict[int, dict[Weight, int]] = {}
         for b, m in self._summands.items():
             # one public call per summand, which the tracer counts; its groups
@@ -124,7 +140,8 @@ class EquivariantClass:
                 group = groups.setdefault(q, {})
                 for w, c in part.items():
                     group[w] = group.get(w, 0) + m * c
-        return CohomologyProfile._trusted(self.ctx.n, groups)
+        self._profile = CohomologyProfile._trusted(self.ctx.n, groups)
+        return self._profile
 
     def euler_characteristic(self) -> int:
         return self.cohomology().euler_characteristic()
@@ -256,11 +273,15 @@ def det_shift(a: EquivariantClass, b: EquivariantClass) -> int | None:
         return None
     target = b._summands
     twisted_q: dict[Weight, Weight] = {}
+    lam_prev = None
     for bundle, m in a._summands.items():
         lam = bundle.lam_q
-        lam_t = twisted_q.get(lam)
-        if lam_t is None:
-            lam_t = twisted_q[lam] = tuple(map(add, lam, repeat(t)))
+        if lam is not lam_prev:
+            # consecutive summands usually share one quotient object
+            lam_t = twisted_q.get(lam)
+            if lam_t is None:
+                lam_t = twisted_q[lam] = tuple(map(add, lam, repeat(t)))
+            lam_prev = lam
         # a Bundle is a NamedTuple: the plain pair hashes and compares like it
         if target.get((lam_t, tuple(map(add, bundle.mu_s, repeat(t))))) != m:
             return None

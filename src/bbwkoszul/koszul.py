@@ -25,7 +25,6 @@ every number assembled with their help names them.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
@@ -514,8 +513,13 @@ def verify_claimed_decompositions(d: int) -> list[DecompositionComparison]:
     out = []
     for level, factor, q_weight, s_weights in _claimed_lines(d):
         computed, _ = factors[factor, level]
-        # the public constructor validates each bundle
-        claimed = EquivariantClass(ctx, Counter(Bundle(q_weight, mu) for mu in s_weights))
+        counts: dict[Bundle, int] = {}
+        for mu in s_weights:
+            bundle = Bundle(q_weight, mu)
+            counts[bundle] = counts.get(bundle, 0) + 1
+        # the public constructor validates each bundle; the summands share
+        # q_weight, so it checks that tuple once
+        claimed = EquivariantClass(ctx, counts)
         out.append(
             DecompositionComparison(
                 f"wedge{level}_{factor}", computed, claimed, det_shift(computed, claimed)

@@ -104,7 +104,9 @@ def dominant_sort(weight: Iterable[int]) -> tuple[int, Weight] | None:
 def _weyl_product(w: Weight) -> int:
     """The Weyl dimension formula, prod over i < j of (w_i - w_j + j - i) / (j - i).
 
-    ``w`` must be dominant. A pair inside a run of equal entries
+    A non-dominant ``w`` raises ValueError. ``lru_cache`` stores no
+    exception, so the test runs once per distinct dominant weight and on
+    every call with a non-dominant one. A pair inside a run of equal entries
     contributes 1. Take a run A before a run B of length L, with
     delta = value(A) - value(B) > 0, and one i in A, and put s for the
     first index of B minus i. The factors over j in B telescope:
@@ -117,6 +119,8 @@ def _weyl_product(w: Weight) -> int:
     expression is symmetric in L and delta. The work follows the number of
     (entry, later run) pairs, not of entry pairs.
     """
+    if not is_dominant(w):
+        raise ValueError(f"weight not dominant: {w}")
     runs = []
     start = 0
     for value, group in groupby(w):
@@ -149,8 +153,6 @@ def weyl_dimension(weight: Iterable[int], n: int | None = None) -> int:
         n = len(w)
     if len(w) != n:
         raise ValueError(f"weight {w} does not have length {n}")
-    if not is_dominant(w):
-        raise ValueError(f"weight not dominant: {w}")
     return _weyl_product(w)
 
 

@@ -107,16 +107,32 @@ def test_plethysm_identity_is_compared_once():
     assert (info.misses, info.hits) == (3, 12)
 
 
-def test_repeated_reports_reach_a_plateau():
-    # the caches fill on the first pass; later passes must not grow. One
-    # retained d = 3..6 report is about 45 KB, so the margin catches it
+def _pass_readings(run):
+    """Traced memory after each of four passes of ``run``."""
     readings = []
     tracemalloc.start()
     try:
         for _ in range(4):
-            run_checks(3, 6)
+            run()
             gc.collect()
             readings.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
+    return readings
+
+
+def test_repeated_reports_reach_a_plateau():
+    # the caches fill on the first pass; later passes must not grow. One
+    # retained d = 3..6 report is about 45 KB, so the margin catches it
+    readings = _pass_readings(lambda: run_checks(3, 6))
+    assert readings[3] - readings[1] < 16 * 1024, readings
+
+
+def test_repeated_sweeps_reach_a_plateau():
+    # the eight checks of the paper sweep: d = 5..30 has 182 (context,
+    # name) keys, more than named_class holds, so every pass rebuilds
+    # named classes, and each keeps its cohomology profile
+    sweep = [c.check_id for c in checks.CATALOG if not c.d_independent]
+    sweep.remove("remark-d34")
+    readings = _pass_readings(lambda: run_checks(5, 30, sweep))
     assert readings[3] - readings[1] < 16 * 1024, readings

@@ -163,6 +163,35 @@ class TestExpectedValues:
         assert expected_value("plethysm-eq4", "wedge3", 7) == [[6, 3]]
         assert expected_value("lemma-cohomology", "h0_pairing", 9) == 1
 
+    def test_runners_receive_every_row_at_every_d(self, monkeypatch):
+        # run_checks resolves each check's rows once; every runner must
+        # still see exactly the values expected_value gives at its d
+        received = {}
+
+        def capture(check):
+            def run(d, exp):
+                received[check, d] = exp
+                return "pass", None, None, "", ()
+
+            return run
+
+        catalog = tuple(
+            c._replace(run=capture(c.check_id), min_d=3, only_d=None) for c in CATALOG
+        )
+        monkeypatch.setattr(checks, "CATALOG", catalog)
+        run_checks(3, 12)
+        fields = {}
+        for check, field in checks._EXPECTED:
+            fields.setdefault(check, []).append(field)
+        for c in CATALOG:
+            ds = [None] if c.d_independent else range(3, 13)
+            for d in ds:
+                assert received.pop((c.check_id, d)) == {
+                    field: expected_value(c.check_id, field, d)
+                    for field in fields.get(c.check_id, ())
+                }
+        assert not received
+
 
 def test_exit_code_on_failure():
     base = run_checks(6, 6, ["lemma-s"])

@@ -209,6 +209,20 @@ class TestClassCohomology:
     def test_empty_class(self):
         assert EquivariantClass.empty(GR27).cohomology().is_empty
 
+    def test_profile_is_kept(self):
+        sym3, tangent = named_class(GR27, "sym_cube"), named_class(GR27, "tangent")
+        built = [
+            tangent,
+            sym3.tensor(tangent),
+            wedge_class(sym3, 2).tensor(named_class(GR27, "sym_cube_dual")),
+            sym3 + tangent,
+            tangent.shifted(-2),
+            EquivariantClass.empty(GR27),
+        ]
+        for c in built:
+            assert c.cohomology() is c.cohomology()
+            assert c.cohomology() == EquivariantClass(GR27, c.summands()).cohomology()
+
 
 BAD_BUNDLES = {
     "short-quotient": ((0,) * 4, (0, 0)),
@@ -229,6 +243,33 @@ class TestBoundaryChecks:
             bbw_cohomology(GR27, Bundle(lam, mu))
         with pytest.raises(ValueError):
             CohomologyProfile(GR27.n, {0: {lam + mu: 1}})
+
+    @pytest.mark.parametrize(
+        "summands",
+        [
+            # a non-dominant quotient tuple shared by every summand
+            [((0, 1, 0, 0, 0), (0, 0)), ((0, 1, 0, 0, 0), (1, 0))],
+            # a wrong-length quotient tuple shared by every summand
+            [((0,) * 4, (0, 0)), ((0,) * 4, (1, 0))],
+            # a bad subbundle part after its quotient tuple has passed
+            [((0,) * 5, (0, 0)), ((0,) * 5, (0, 3))],
+            [((0,) * 5, (0, 0)), ((0,) * 5, (0, 0, 0))],
+            # a valid shared quotient, then another, invalid quotient object
+            [((0,) * 5, (0, 0)), ((0,) * 5, (1, 0)), ((0, 0, 1, 0, 0), (2, 0))],
+        ],
+        ids=["rising-shared", "short-shared", "rising-subbundle", "long-subbundle", "new-quotient"],
+    )
+    def test_shared_quotient_still_rejected(self, summands):
+        # summands whose quotient parts are one object, as in a displayed line
+        shared = {}
+        parts = {}
+        for lam, mu in summands:
+            lam = shared.setdefault(lam, tuple(list(lam)))
+            parts[Bundle(lam, mu)] = 1
+        objects = [b.lam_q for b in parts]
+        assert objects[1] is objects[0]
+        with pytest.raises(ValueError):
+            EquivariantClass(GR27, parts)
 
     @given(st.data())
     def test_engine_results_pass_the_checks(self, data):
@@ -408,6 +449,54 @@ class TestDetShift:
         assert (there is None) == (back is None)
         if there is not None:
             assert back == -there
+
+
+def twist_reference(a, b):
+    """det_shift by trial: every twist that maps one least-quotient entry onto another."""
+    if a.is_empty and b.is_empty:
+        return 0
+    candidates = {y.lam_q[0] - x.lam_q[0] for x in a.summands() for y in b.summands()}
+    found = [t for t in sorted(candidates) if a.shifted(t) == b]
+    return found[0] if found else None
+
+
+class TestDetShiftAlternatingQuotients:
+    @given(st.data())
+    def test_agrees_with_trial_twists(self, data):
+        # summands alternate between two quotient objects, equal or not, so
+        # the reuse of the previous twisted quotient part meets both cases
+        k = data.draw(st.integers(1, 3))
+        ctx = Grassmannian(k, k + data.draw(st.integers(1, 4)))
+
+        def weight(length):
+            entries = data.draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+            return tuple(sorted(entries, reverse=True))
+
+        def alternating(quotients):
+            summands = {}
+            for i in range(data.draw(st.integers(1, 6))):
+                bundle = Bundle(quotients[i % 2], weight(k))
+                summands[bundle] = summands.get(bundle, 0) + data.draw(st.integers(1, 2))
+            return EquivariantClass(ctx, summands)
+
+        q1 = weight(ctx.quotient_rank)
+        q2 = tuple(list(q1)) if data.draw(st.booleans()) else weight(ctx.quotient_rank)
+        a = alternating((q1, q2))
+        t = data.draw(st.integers(-4, 4))
+        shifted = a.shifted(t)
+        moved = shifted.summands()
+        x = data.draw(st.sampled_from(sorted(moved)))
+        moved[Bundle(x.lam_q, weight(k))] = moved.pop(x)
+        others = [
+            shifted,
+            EquivariantClass(ctx, moved),
+            alternating((weight(ctx.quotient_rank), weight(ctx.quotient_rank))),
+            EquivariantClass.empty(ctx),
+        ]
+        assert det_shift(a, shifted) == t
+        for b in others:
+            assert det_shift(a, b) == twist_reference(a, b)
+            assert det_shift(b, a) == twist_reference(b, a)
 
 
 class TestClaimedDecompositions:

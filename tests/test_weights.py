@@ -154,6 +154,18 @@ class TestWeylDimension:
         with pytest.raises(ValueError):
             weyl_dimension((0, 1))
 
+    def test_rejects_non_dominant_whether_or_not_its_sort_is_cached(self):
+        # the dominance test sits inside the cached product, which stores
+        # no exception: a rejected weight leaves no entry behind
+        bad, dominant = (7, 3, 11, -2), (11, 7, 3, -2)
+        weights._weyl_product.cache_clear()
+        for _ in range(2):
+            size = weights._weyl_product.cache_info().currsize
+            with pytest.raises(ValueError, match="not dominant"):
+                weyl_dimension(bad)
+            assert weights._weyl_product.cache_info().currsize == size
+            assert weyl_dimension(dominant) == dense_weyl_product(dominant)
+
     @given(run_weights)
     def test_matches_dense_product(self, weight):
         assert weyl_dimension(weight) == dense_weyl_product(weight)
