@@ -8,15 +8,21 @@ result strictly decreasingly. A repeated entry kills every cohomology
 group. Otherwise exactly one group survives, in the degree given by the
 number of inversions removed by the sort, and its GL(V) highest weight is
 the sorted sequence minus the staircase. Both shifted parts are already
-strictly decreasing, so ``bbw_cohomology`` places only the k subbundle
+strictly decreasing, so ``_place`` places only the k subbundle
 entries, each by bisection on j -> lam_q[j] + n - j. No shifted list is
 built: the GL(V) weight is assembled from slices of lam_q and the placed
 entries. ``weights.dominant_sort`` stays the straightening rule of
 products.
 
-Values are checked where they enter: ``bbw_cohomology`` validates its
-bundle and a ``CohomologyProfile`` built by hand validates its weights.
-The profiles the engine builds itself skip that second check.
+Values are checked where they enter. A bundle is validated by the
+public constructor of ``classes.EquivariantClass``, by
+``bbw_cohomology`` and by ``bundle_rank``. ``bbw_cohomology`` is
+``validate_bundle`` followed by the private placement ``_place``, which
+trusts its bundle: class cohomology and ``EquivariantClass.rank`` trust
+their summands, which fit the class's context, so they call ``_place``
+and ``weyl_dimension`` directly. A ``CohomologyProfile`` built by hand
+validates its weights; the profiles the engine builds itself skip that
+second check.
 
 The full GL(V)-equivariant weight is always tracked; the determinant of V
 is never trivialized here. Comparisons against determinant-twisted
@@ -200,6 +206,16 @@ class CohomologyProfile:
 def bbw_cohomology(ctx: Grassmannian, bundle: Bundle) -> CohomologyProfile:
     """All cohomology of one irreducible bundle: empty, or a single group.
 
+    Raises ValueError for a bundle that does not fit ``ctx`` or has a
+    non-dominant factor. The placement itself is ``_place``.
+    """
+    validate_bundle(ctx, bundle)
+    return _place(ctx, bundle)
+
+
+def _place(ctx: Grassmannian, bundle: Bundle) -> CohomologyProfile:
+    """``bbw_cohomology`` of a bundle already known to fit ``ctx``.
+
     The quotient part j -> lam_q[j] + n - j of the shifted weight is
     strictly decreasing, and so is the subbundle part i -> mu_s[i] + k - i.
     So each subbundle entry, largest first, is bisected on that function
@@ -212,7 +228,6 @@ def bbw_cohomology(ctx: Grassmannian, bundle: Bundle) -> CohomologyProfile:
     cut at the landing points, segment i raised by i, with the placed
     entries in the cuts. Segment 0 is a plain slice.
     """
-    validate_bundle(ctx, bundle)
     n, k = ctx.n, ctx.k
     m = n - k
     lam, mu = bundle

@@ -7,16 +7,20 @@ with ``weights.wedge_weights``: both straighten by the signed sort
 they are.
 Cohomology of a class is the multiplicity-weighted union over its
 summands, gathered into one profile, and each summand's group comes from
-``bbw.bbw_cohomology``, which places the k subbundle entries.
+``bbw._place``, which places the k subbundle entries.
 
-A class built by hand (``EquivariantClass(...)``, ``irreducible``)
-validates every bundle; summands that share one quotient tuple have it
-checked once. The classes the engine builds from valid ones (``tensor``,
-``shifted``, ``wedge_class``, ``+``) and the profiles of their cohomology
-are trusted and not checked again, and ``named_class`` builds each
-(context, name) once, in a bounded cache. A class is immutable and keeps
-the profile of its first ``cohomology()`` call, so a test that patches
-the BBW layer must clear ``named_class``'s cache as well as
+A bundle is validated where it enters: by the public constructor
+(``EquivariantClass(...)``, ``irreducible``), where summands that share
+one quotient tuple have it checked once, and by ``bbw.bbw_cohomology``
+and ``bbw.bundle_rank``. The classes the engine builds from valid ones
+(``tensor``, ``shifted``, ``wedge_class``, ``+``) and the profiles of
+their cohomology are trusted and not checked again: ``cohomology()``
+hands each summand to the placement ``bbw._place`` and ``rank()``
+multiplies two ``weyl_dimension``s, neither of which validates the
+bundle. ``named_class`` builds each (context, name) once, in a bounded
+cache. A class is immutable and keeps the profile of its first
+``cohomology()`` call, so a test that patches the BBW layer
+(``bbw._place``) must clear ``named_class``'s cache as well as
 ``koszul_analysis``'s.
 
 Displayed decompositions in the source material trivialize det V; the
@@ -37,17 +41,28 @@ from .bbw import (
     Bundle,
     CohomologyProfile,
     Grassmannian,
+    _place,
     bbw_cohomology,
-    bundle_rank,
     canonical_bundle,
     validate_bundle,
     validate_subbundle_factor,
 )
-from .weights import Weight, tensor_weights, wedge_weights
+from .weights import Weight, tensor_weights, wedge_weights, weyl_dimension
 
 
 class EquivariantClass:
-    """Non-negative integer combination of irreducible homogeneous bundles."""
+    """Non-negative integer combination of irreducible homogeneous bundles.
+
+    Invariant: every summand fits ``ctx``, that is both factors have the
+    context's ranks and are dominant. The public constructor validates
+    each bundle. ``tensor``, ``shifted``, ``+``, ``wedge_class`` and the
+    partner in ``serre_check`` (the dual of a bundle that
+    ``bbw_cohomology`` has just validated, and the canonical bundle)
+    build only from classes that hold the invariant, and the weights that
+    ``tensor_weights`` and ``wedge_weights`` return are dominant of the
+    same length; twisting keeps a weight dominant. ``cohomology()`` and
+    ``rank()`` rely on it and check no summand again.
+    """
 
     __slots__ = ("ctx", "_summands", "_profile")
 
@@ -102,7 +117,11 @@ class EquivariantClass:
         return not self._summands
 
     def rank(self) -> int:
-        return sum(m * bundle_rank(self.ctx, b) for b, m in self._summands.items())
+        q, k = self.ctx.quotient_rank, self.ctx.k
+        return sum(
+            m * weyl_dimension(b.lam_q, q) * weyl_dimension(b.mu_s, k)
+            for b, m in self._summands.items()
+        )
 
     def __add__(self, other: "EquivariantClass") -> "EquivariantClass":
         self._check_ctx(other)
@@ -134,9 +153,9 @@ class EquivariantClass:
             return self._profile
         groups: dict[int, dict[Weight, int]] = {}
         for b, m in self._summands.items():
-            # one public call per summand, which the tracer counts; its groups
-            # are read in place
-            for q, part in bbw_cohomology(self.ctx, b)._groups.items():
+            # every summand fits the context (see the class docstring), so
+            # it goes to the placement unchecked; its groups are read in place
+            for q, part in _place(self.ctx, b)._groups.items():
                 group = groups.setdefault(q, {})
                 for w, c in part.items():
                     group[w] = group.get(w, 0) + m * c

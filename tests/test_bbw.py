@@ -290,17 +290,26 @@ class TestSerre:
 
     def test_degree_outside_range_fails(self, monkeypatch):
         # lift every group above dim Z: both sides still agree on degrees
-        # 0..dim (all zero there), but the mirrored ones land below 0
+        # 0..dim (all zero there), but the mirrored ones land below 0. The
+        # bundle's side is the public bbw_cohomology and the partner's side
+        # is its class cohomology, which calls the placement, so lift both
         top = GR27.dimension
+        lifted_calls = []
 
-        def lifted(ctx, bundle):
-            profile = bbw_cohomology(ctx, bundle)
-            return CohomologyProfile(
-                ctx.n, {q + top + 1: profile.weights(q) for q in profile.degrees()}
-            )
+        def lifted(original):
+            def lift(ctx, bundle):
+                lifted_calls.append(original.__name__)
+                profile = original(ctx, bundle)
+                return CohomologyProfile(
+                    ctx.n, {q + top + 1: profile.weights(q) for q in profile.degrees()}
+                )
 
-        monkeypatch.setattr(classes, "bbw_cohomology", lifted)
+            return lift
+
+        monkeypatch.setattr(classes, "bbw_cohomology", lifted(classes.bbw_cohomology))
+        monkeypatch.setattr(classes, "_place", lifted(classes._place))
         assert not serre_check(GR27, Bundle((0,) * 5, (0, -3)))
+        assert sorted(lifted_calls) == ["_place", "bbw_cohomology"]
 
     def test_randomized(self):
         rng = random.Random(5)

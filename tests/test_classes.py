@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from collections.abc import Mapping
 from math import comb
@@ -5,7 +6,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from bbwkoszul.bbw import Bundle, CohomologyProfile, Grassmannian, bbw_cohomology
+from bbwkoszul import bbw, classes
+from bbwkoszul.bbw import Bundle, CohomologyProfile, Grassmannian, bbw_cohomology, bundle_rank
 from bbwkoszul.classes import (
     EquivariantClass,
     det_shift,
@@ -222,6 +224,53 @@ class TestClassCohomology:
         for c in built:
             assert c.cohomology() is c.cohomology()
             assert c.cohomology() == EquivariantClass(GR27, c.summands()).cohomology()
+
+
+class TestTrustedSummands:
+    """Class cohomology and rank() skip the bundle check; they must agree with
+    the public, validating functions summand by summand."""
+
+    @given(st.data())
+    def test_reducible_classes_match_the_public_functions(self, data):
+        k = data.draw(st.integers(1, 3))
+        ctx = Grassmannian(k, data.draw(st.integers(k + 1, 40)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        a, b = (EquivariantClass(ctx, {random_bundle(ctx, rng, 4): 1}) for _ in range(2))
+        zero_q = (0,) * ctx.quotient_rank
+        s_only = EquivariantClass(ctx, {Bundle(zero_q, random_bundle(ctx, rng, 2).mu_s): 1})
+        factor = named_class(ctx, data.draw(st.sampled_from(("S", "Q", "tangent", "sym_cube"))))
+        power = wedge_class(s_only, data.draw(st.integers(0, 3)))
+        built = a.tensor(factor) + b + power.tensor(a) + b
+        groups: dict[int, Counter] = {}
+        for bundle, m in built.summands().items():
+            profile = bbw_cohomology(ctx, bundle)
+            for q in profile.degrees():
+                for w, c in profile.weights(q).items():
+                    groups.setdefault(q, Counter())[w] += m * c
+        assert built.cohomology() == CohomologyProfile(ctx.n, groups)
+        assert built.rank() == sum(
+            m * bundle_rank(ctx, bundle) for bundle, m in built.summands().items()
+        )
+
+    def test_analysis_validates_no_bundle(self, monkeypatch):
+        # every bundle of a Koszul analysis comes from its coefficient and the
+        # resolution factor, both checked when they were built
+        ctx = Grassmannian(2, 9)
+        named_class(ctx, "sym_cube")  # the resolution factor build_page reads
+        coefficient = EquivariantClass(ctx, named_class(ctx, "sym_cube_dual").summands())
+        checked = []
+        original = bbw.validate_bundle
+
+        def counting(ctx_, bundle):
+            checked.append(bundle)
+            return original(ctx_, bundle)
+
+        monkeypatch.setattr(bbw, "validate_bundle", counting)
+        monkeypatch.setattr(classes, "validate_bundle", counting)
+        koszul.koszul_analysis.cache_clear()  # an equal coefficient may be cached
+        analysis = koszul.koszul_analysis(ctx, coefficient)
+        koszul.koszul_analysis.cache_clear()
+        assert analysis.page.columns and checked == []
 
 
 BAD_BUNDLES = {
