@@ -14,15 +14,17 @@ built: the GL(V) weight is assembled from slices of lam_q and the placed
 entries. ``weights.dominant_sort`` stays the straightening rule of
 products.
 
-Values are checked where they enter. A bundle is validated by the
-public constructor of ``classes.EquivariantClass``, by
-``bbw_cohomology`` and by ``bundle_rank``. ``bbw_cohomology`` is
-``validate_bundle`` followed by the private placement ``_place``, which
-trusts its bundle: class cohomology and ``EquivariantClass.rank`` trust
-their summands, which fit the class's context, so they call ``_place``
-and ``weyl_dimension`` directly. A ``CohomologyProfile`` built by hand
-validates its weights; the profiles the engine builds itself skip that
-second check.
+Values are checked where they enter, by one validator.
+``validate_bundle`` checks a bundle in full: both lengths, integer
+entries, and dominance through ``weights.is_dominant``. It runs in the
+public constructor of ``classes.EquivariantClass``, in
+``bbw_cohomology`` and in ``bundle_rank``, and nowhere else.
+``bbw_cohomology`` is ``validate_bundle`` followed by the private
+placement ``_place``, which trusts its bundle: class cohomology and
+``EquivariantClass.rank`` trust their summands, which fit the class's
+context, so they call ``_place`` and ``weyl_dimension`` directly. A
+``CohomologyProfile`` built by hand validates its weights and
+multiplicities; the profiles the engine builds itself skip that check.
 
 The full GL(V)-equivariant weight is always tracked; the determinant of V
 is never trivialized here. Comparisons against determinant-twisted
@@ -93,25 +95,14 @@ class Bundle(NamedTuple):
 
 
 def validate_bundle(ctx: Grassmannian, bundle: Bundle) -> None:
-    lam = bundle.lam_q
-    if len(lam) != ctx.n - ctx.k:
+    """The one bundle check: both factors fit ``ctx``, have integer entries and are dominant."""
+    lam, mu = bundle
+    if len(lam) != ctx.n - ctx.k or len(mu) != ctx.k:
         raise ValueError(f"{bundle} does not fit Gr({ctx.k},{ctx.n})")
-    # one sort per factor: a dominant factor is a single run, so this is linear
-    if list(lam) != sorted(lam, reverse=True):
-        raise ValueError(f"{bundle} has a non-dominant factor")
-    validate_subbundle_factor(ctx, bundle)
-
-
-def validate_subbundle_factor(ctx: Grassmannian, bundle: Bundle) -> None:
-    """The checks of ``validate_bundle`` on ``mu_s`` alone.
-
-    For a bundle whose ``lam_q`` is a tuple that already passed
-    ``validate_bundle`` on the same context.
-    """
-    mu = bundle.mu_s
-    if len(mu) != ctx.k:
-        raise ValueError(f"{bundle} does not fit Gr({ctx.k},{ctx.n})")
-    if list(mu) != sorted(mu, reverse=True):
+    # a float or a Fraction entry makes the sum a float or a Fraction
+    if type(sum(lam) + sum(mu)) is not int:
+        raise ValueError(f"{bundle} has a non-integer entry")
+    if not (is_dominant(lam) and is_dominant(mu)):
         raise ValueError(f"{bundle} has a non-dominant factor")
 
 
@@ -134,7 +125,8 @@ class CohomologyProfile:
 
     Only nonzero groups are stored. Dimensions are derived, never stored:
     each weight contributes its Weyl dimension times its multiplicity.
-    Every weight must be a dominant weight of GL(n).
+    Every weight must be a dominant weight of GL(n) with integer entries,
+    and every multiplicity a non-negative integer.
 
     A class keeps the profile of its cohomology, so one profile may be
     handed to many callers. No code mutates a profile once it is built:
@@ -151,10 +143,10 @@ class CohomologyProfile:
             c: dict[Weight, int] = {}
             for w, m in ws.items():
                 w = tuple(w)
-                if len(w) != n or not is_dominant(w):
-                    raise ValueError(f"{w} is not a dominant weight of GL({n})")
-                if m < 0:
-                    raise ValueError("negative multiplicity")
+                if len(w) != n or type(sum(w)) is not int or not is_dominant(w):
+                    raise ValueError(f"{w} is not a dominant integral weight of GL({n})")
+                if not isinstance(m, int) or m < 0:
+                    raise ValueError(f"multiplicity {m!r} is not a non-negative integer")
                 if m:
                     c[w] = c.get(w, 0) + m
             if c:

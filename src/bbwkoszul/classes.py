@@ -9,16 +9,18 @@ Cohomology of a class is the multiplicity-weighted union over its
 summands, gathered into one profile, and each summand's group comes from
 ``bbw._place``, which places the k subbundle entries.
 
-A bundle is validated where it enters: by the public constructor
-(``EquivariantClass(...)``, ``irreducible``), where summands that share
-one quotient tuple have it checked once, and by ``bbw.bbw_cohomology``
-and ``bbw.bundle_rank``. The classes the engine builds from valid ones
-(``tensor``, ``shifted``, ``wedge_class``, ``+``) and the profiles of
-their cohomology are trusted and not checked again: ``cohomology()``
-hands each summand to the placement ``bbw._place`` and ``rank()``
-multiplies two ``weyl_dimension``s, neither of which validates the
-bundle. ``named_class`` builds each (context, name) once, in a bounded
-cache. A class is immutable and keeps the profile of its first
+A bundle is checked by one validator, ``bbw.validate_bundle``, in full
+and only where it enters from outside the engine: in the public
+constructor (``EquivariantClass(...)``, ``irreducible``), in
+``bbw.bbw_cohomology`` and in ``bbw.bundle_rank``. The classes the
+engine builds itself are trusted and not checked: ``named_class``, whose
+bundles fit every valid context by construction, and the classes built
+from valid ones (``tensor``, ``shifted``, ``wedge_class``, ``+``), with
+the profiles of their cohomology. ``cohomology()`` hands each summand to
+the placement ``bbw._place`` and ``rank()`` multiplies two
+``weyl_dimension``s, neither of which validates the bundle.
+``named_class`` builds each (context, name) once, in a bounded cache. A
+class is immutable and keeps the profile of its first
 ``cohomology()`` call, so a test that patches the BBW layer
 (``bbw._place``) must clear ``named_class``'s cache as well as
 ``koszul_analysis``'s.
@@ -45,7 +47,6 @@ from .bbw import (
     bbw_cohomology,
     canonical_bundle,
     validate_bundle,
-    validate_subbundle_factor,
 )
 from .weights import Weight, tensor_weights, wedge_weights, weyl_dimension
 
@@ -54,14 +55,21 @@ class EquivariantClass:
     """Non-negative integer combination of irreducible homogeneous bundles.
 
     Invariant: every summand fits ``ctx``, that is both factors have the
-    context's ranks and are dominant. The public constructor validates
-    each bundle. ``tensor``, ``shifted``, ``+``, ``wedge_class`` and the
-    partner in ``serre_check`` (the dual of a bundle that
+    context's ranks, integer entries and are dominant, and every
+    multiplicity is a positive integer. The one validator,
+    ``bbw.validate_bundle``, runs where a bundle enters from outside: in
+    the public constructor on every bundle it is given, and in
+    ``bbw.bbw_cohomology`` and ``bbw.bundle_rank``. The trusted builders
+    run none: ``named_class`` builds only dominant factors of the
+    context's ranks, for every name and every valid context; ``tensor``,
+    ``shifted``, ``+``, ``wedge_class`` and the partner in
+    ``serre_check`` (the dual of a bundle that
     ``bbw_cohomology`` has just validated, and the canonical bundle)
     build only from classes that hold the invariant, and the weights that
     ``tensor_weights`` and ``wedge_weights`` return are dominant of the
-    same length; twisting keeps a weight dominant. ``cohomology()`` and
-    ``rank()`` rely on it and check no summand again.
+    same length; twisting by an integer, which ``shifted`` checks, keeps
+    a weight dominant. ``cohomology()`` and ``rank()`` rely on it and
+    check no summand again.
     """
 
     __slots__ = ("ctx", "_summands", "_profile")
@@ -69,21 +77,15 @@ class EquivariantClass:
     def __init__(self, ctx: Grassmannian, summands: Mapping[Bundle, int] | None = None):
         self.ctx = ctx
         store: dict[Bundle, int] = {}
-        checked_q = None  # the quotient tuple of the last summand validated in full
         for b, m in (summands or {}).items():
-            if m < 0:
-                raise ValueError("negative multiplicity")
+            if not isinstance(m, int) or m < 0:
+                raise ValueError(f"multiplicity {m!r} is not a non-negative integer")
             if m:
                 if type(b) is Bundle and type(b.lam_q) is tuple and type(b.mu_s) is tuple:
                     bundle = b  # already normalized: no rebuild, still validated
                 else:
                     bundle = Bundle(tuple(b.lam_q), tuple(b.mu_s))
-                if bundle.lam_q is checked_q:
-                    # a tuple is immutable: the same object passed already
-                    validate_subbundle_factor(ctx, bundle)
-                else:
-                    validate_bundle(ctx, bundle)
-                    checked_q = bundle.lam_q
+                validate_bundle(ctx, bundle)
                 store[bundle] = store.get(bundle, 0) + m
         self._summands = store
         self._profile = None
@@ -131,6 +133,9 @@ class EquivariantClass:
         return EquivariantClass._trusted(self.ctx, total)
 
     def shifted(self, t: int) -> "EquivariantClass":
+        # the twist comes from outside; an integer one keeps every summand valid
+        if not isinstance(t, int):
+            raise ValueError(f"twist {t!r} is not an integer")
         return EquivariantClass._trusted(
             self.ctx, {b.shifted(t): m for b, m in self._summands.items()}
         )
@@ -205,15 +210,6 @@ NAMED_CACHE_SIZE = 128
 
 _TWIST_RE = re.compile(r"O\((-?\d+)\)")
 
-_NAMED = {
-    "S": "tautological subbundle",
-    "Q": "quotient bundle",
-    "tangent": "tangent bundle Hom(S, Q)",
-    "sym_cube": "third symmetric power of S",
-    "sym_cube_dual": "third symmetric power of the dual of S",
-    "trivial": "structure sheaf",
-}
-
 
 @lru_cache(maxsize=NAMED_CACHE_SIZE)
 def named_class(ctx: Grassmannian, name: str) -> EquivariantClass:
@@ -225,25 +221,25 @@ def named_class(ctx: Grassmannian, name: str) -> EquivariantClass:
     """
     zero_q = (0,) * ctx.quotient_rank
     zero_s = (0,) * ctx.k
-    if name == "S":
-        return EquivariantClass.irreducible(ctx, zero_q, (1,) + zero_s[1:])
-    if name == "Q":
-        return EquivariantClass.irreducible(ctx, (1,) + zero_q[1:], zero_s)
-    if name == "tangent":
-        # Q tensor dual of S
-        return EquivariantClass.irreducible(ctx, (1,) + zero_q[1:], zero_s[1:] + (-1,))
-    if name == "sym_cube":
-        return EquivariantClass.irreducible(ctx, zero_q, (3,) + zero_s[1:])
-    if name == "sym_cube_dual":
-        return EquivariantClass.irreducible(ctx, zero_q, zero_s[1:] + (-3,))
-    if name == "trivial":
-        return EquivariantClass.trivial(ctx)
-    m = _TWIST_RE.fullmatch(name)
-    if m:
+    one_q = (1,) + zero_q[1:]
+    named = {
+        "S": (zero_q, (1,) + zero_s[1:]),
+        "Q": (one_q, zero_s),
+        "tangent": (one_q, zero_s[1:] + (-1,)),  # Q tensor dual of S
+        "sym_cube": (zero_q, (3,) + zero_s[1:]),
+        "sym_cube_dual": (zero_q, zero_s[1:] + (-3,)),
+        "trivial": (zero_q, zero_s),
+    }
+    parts = named.get(name)
+    if parts is None:
+        m = _TWIST_RE.fullmatch(name)
+        if not m:
+            raise ValueError(f"unknown class name {name!r}; known: {sorted(named)} or O(m)")
         if ctx.k != 1:
             raise ValueError("twists O(m) only live on projective-space contexts")
-        return EquivariantClass.irreducible(ctx, zero_q, (-int(m.group(1)),))
-    raise ValueError(f"unknown class name {name!r}; known: {sorted(_NAMED)} or O(m)")
+        parts = (zero_q, (-int(m.group(1)),))
+    # every part is dominant of the context's ranks, so no check is needed
+    return EquivariantClass._trusted(ctx, {Bundle(*parts): 1})
 
 
 def wedge_class(cls_: EquivariantClass, j: int) -> EquivariantClass:
@@ -292,15 +288,11 @@ def det_shift(a: EquivariantClass, b: EquivariantClass) -> int | None:
         return None
     target = b._summands
     twisted_q: dict[Weight, Weight] = {}
-    lam_prev = None
     for bundle, m in a._summands.items():
         lam = bundle.lam_q
-        if lam is not lam_prev:
-            # consecutive summands usually share one quotient object
-            lam_t = twisted_q.get(lam)
-            if lam_t is None:
-                lam_t = twisted_q[lam] = tuple(map(add, lam, repeat(t)))
-            lam_prev = lam
+        lam_t = twisted_q.get(lam)
+        if lam_t is None:
+            lam_t = twisted_q[lam] = tuple(map(add, lam, repeat(t)))
         # a Bundle is a NamedTuple: the plain pair hashes and compares like it
         if target.get((lam_t, tuple(map(add, bundle.mu_s, repeat(t))))) != m:
             return None

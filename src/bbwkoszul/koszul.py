@@ -517,8 +517,7 @@ def verify_claimed_decompositions(d: int) -> list[DecompositionComparison]:
         for mu in s_weights:
             bundle = Bundle(q_weight, mu)
             counts[bundle] = counts.get(bundle, 0) + 1
-        # the public constructor validates each bundle; the summands share
-        # q_weight, so it checks that tuple once
+        # the public constructor validates each bundle of the displayed line
         claimed = EquivariantClass(ctx, counts)
         out.append(
             DecompositionComparison(

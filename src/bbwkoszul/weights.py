@@ -330,24 +330,15 @@ def _dual(w: Weight) -> Weight:
     return tuple(-x for x in reversed(w))
 
 
-def _dual_is_smaller(w: Weight) -> bool:
-    """Whether the partition of the dual, w[0] - reversed(w), has fewer boxes than w - w[-1].
+def _boxes(w: Weight) -> tuple[int, int]:
+    """The boxes of the partition of w, w - w[-1], and of its dual's, w[0] - reversed(w).
 
     The boxes bound the depth and the work of listing the weights, so a
     factor like the dual of the vector representation, whose partition
     has n - 1 boxes, is listed through its dual of one box.
     """
-    return len(w) * (w[0] + w[-1]) < 2 * sum(w)
-
-
-def _listing_cost(w: Weight) -> tuple[int, int]:
-    """The boxes of the smaller of the partitions of w and of its dual, then the spread.
-
-    The partition of w is w - w[-1] and that of its dual w[0] - reversed(w);
-    a factor and its dual have the same spread w[0] - w[-1].
-    """
     n, total = len(w), sum(w)
-    return min(total - n * w[-1], n * w[0] - total), w[0] - w[-1]
+    return total - n * w[-1], n * w[0] - total
 
 
 def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Mapping[Weight, int]:
@@ -376,12 +367,15 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Mapping[Weight, int]:
 @lru_cache(maxsize=TENSOR_CACHE_SIZE)
 def _tensor_product(a: Weight, b: Weight) -> Mapping[Weight, int]:
     """``tensor_weights`` on two tuples of one length."""
-    if _listing_cost(a) < _listing_cost(b):
-        a, b = b, a
+    boxes_a, boxes_b = _boxes(a), _boxes(b)
+    # list b: fewest boxes of a factor or its dual, then the smaller spread,
+    # which a factor and its dual share
+    if (min(boxes_a), a[0] - a[-1]) < (min(boxes_b), b[0] - b[-1]):
+        a, b, boxes_b = b, a, boxes_a
     low = b[-1]
     if b[0] == low:
         return MappingProxyType(Counter({tuple(x + low for x in a): 1}))
-    if _dual_is_smaller(b):
+    if boxes_b[1] < boxes_b[0]:  # the dual's partition is the smaller
         dual = _tensor_product(_dual(a), _dual(b))
         return MappingProxyType(Counter({_dual(w): m for w, m in dual.items()}))
     return MappingProxyType(

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from collections.abc import Mapping
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -20,6 +21,7 @@ from bbwkoszul.oracles import gl2_tensor, random_bundle, schur_product_decomposi
 
 GR27 = Grassmannian(2, 7)
 P6 = Grassmannian.projective_space(7)
+NAMES = ("S", "Q", "tangent", "sym_cube", "sym_cube_dual", "trivial")
 
 
 def cls(ctx, lam, mu):
@@ -228,7 +230,8 @@ class TestClassCohomology:
 
 class TestTrustedSummands:
     """Class cohomology and rank() skip the bundle check; they must agree with
-    the public, validating functions summand by summand."""
+    the public, validating functions summand by summand. ``named_class``
+    skips it too; its classes must pass the public check."""
 
     @given(st.data())
     def test_reducible_classes_match_the_public_functions(self, data):
@@ -253,8 +256,8 @@ class TestTrustedSummands:
         )
 
     def test_analysis_validates_no_bundle(self, monkeypatch):
-        # every bundle of a Koszul analysis comes from its coefficient and the
-        # resolution factor, both checked when they were built
+        # every bundle of a Koszul analysis comes from its coefficient, checked
+        # when it was built, and the resolution factor, a named class
         ctx = Grassmannian(2, 9)
         named_class(ctx, "sym_cube")  # the resolution factor build_page reads
         coefficient = EquivariantClass(ctx, named_class(ctx, "sym_cube_dual").summands())
@@ -271,6 +274,31 @@ class TestTrustedSummands:
         analysis = koszul.koszul_analysis(ctx, coefficient)
         koszul.koszul_analysis.cache_clear()
         assert analysis.page.columns and checked == []
+
+    @given(st.data())
+    def test_named_classes_pass_the_public_check(self, data):
+        k = data.draw(st.integers(1, 3))
+        ctx = Grassmannian(k, data.draw(st.integers(k + 1, 12)))
+        twists = tuple(f"O({m})" for m in range(-5, 6)) if k == 1 else ()
+        for name in NAMES + twists:
+            named = named_class(ctx, name)
+            assert EquivariantClass(ctx, named.summands()) == named
+
+    def test_named_classes_validate_no_bundle(self, monkeypatch):
+        checked = []
+        original = bbw.validate_bundle
+
+        def counting(ctx_, bundle):
+            checked.append(bundle)
+            return original(ctx_, bundle)
+
+        monkeypatch.setattr(bbw, "validate_bundle", counting)
+        monkeypatch.setattr(classes, "validate_bundle", counting)
+        named_class.cache_clear()  # a cached class would make no call either
+        ctx = Grassmannian(2, 9)
+        built = [named_class(ctx, name) for name in NAMES]
+        assert named_class.cache_info().misses == len(NAMES)
+        assert all(c.rank() > 0 for c in built) and checked == []
 
 
 BAD_BUNDLES = {
@@ -292,6 +320,44 @@ class TestBoundaryChecks:
             bbw_cohomology(GR27, Bundle(lam, mu))
         with pytest.raises(ValueError):
             CohomologyProfile(GR27.n, {0: {lam + mu: 1}})
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [
+            ((0.5, 0, 0, 0, 0), (0, 0)),
+            ((1, 1, 1, 1, 1), (Fraction(1, 2), 0)),
+            ((1.0, 0, 0, 0, 0), (0, 0)),
+        ],
+        ids=["float-quotient", "fraction-subbundle", "integral-float"],
+    )
+    def test_non_integer_entries_rejected(self, lam, mu):
+        # each factor is dominant of the right length: only the entry type is wrong
+        bundle = Bundle(lam, mu)
+        for build in (
+            lambda: bbw.validate_bundle(GR27, bundle),
+            lambda: bbw_cohomology(GR27, bundle),
+            lambda: bundle_rank(GR27, bundle),
+            lambda: EquivariantClass(GR27, {bundle: 1}),
+            lambda: CohomologyProfile(GR27.n, {0: {lam + mu: 1}}),
+        ):
+            with pytest.raises(ValueError):
+                build()
+
+    @pytest.mark.parametrize(
+        "m", [1.5, 2.0, Fraction(3, 2)], ids=["float", "integral-float", "fraction"]
+    )
+    def test_non_integer_multiplicities_rejected(self, m):
+        with pytest.raises(ValueError):
+            EquivariantClass(GR27, {Bundle((1, 0, 0, 0, 0), (0, -1)): m})
+        with pytest.raises(ValueError):
+            CohomologyProfile(GR27.n, {0: {(0,) * GR27.n: m}})
+
+    @pytest.mark.parametrize(
+        "t", [0.5, 1.0, Fraction(1, 2)], ids=["float", "integral-float", "fraction"]
+    )
+    def test_non_integer_twists_rejected(self, t):
+        with pytest.raises(ValueError):
+            named_class(GR27, "tangent").shifted(t)
 
     @pytest.mark.parametrize(
         "summands",
