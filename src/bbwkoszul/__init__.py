@@ -18,7 +18,7 @@ from .bbw import (
     canonical_bundle,
     rho,
 )
-from .checks import CheckResult, Report, UsageError, list_checks, run_checks
+from .checks import AXIOMS, Axiom, CheckResult, Report, UsageError, list_checks, run_checks
 from .classes import (
     EquivariantClass,
     det_shift,
@@ -27,11 +27,8 @@ from .classes import (
     wedge_class,
 )
 from .koszul import (
-    AXIOMS,
     IDEAL_SHEAF,
     RESTRICTION,
-    Axiom,
-    DecompositionComparison,
     DeformationNumbers,
     DegreeVerdict,
     DimValue,
@@ -45,7 +42,6 @@ from .koszul import (
     ideal_sheaf_cohomology,
     koszul_analysis,
     restricted_cohomology,
-    verify_claimed_decompositions,
 )
 from .weights import (
     count_ssyt,
@@ -63,7 +59,6 @@ __all__ = [
     "Bundle",
     "CheckResult",
     "CohomologyProfile",
-    "DecompositionComparison",
     "DeformationNumbers",
     "DegreeVerdict",
     "DimValue",
@@ -97,7 +92,6 @@ __all__ = [
     "rho",
     "run_checks",
     "serre_check",
-    "verify_claimed_decompositions",
     "wedge_class",
     "weyl_dimension",
 ]

@@ -1,7 +1,9 @@
 """Named claim checks over a range of d, with machine-readable results.
 
 Each check recomputes one package of claimed values from scratch and
-compares against the frozen expectations bundled in data/expected.json.
+compares against the frozen expectations bundled in data/expected.json,
+which also holds the displayed decompositions and the axioms the report
+consumes. The file is validated once, when this module loads it.
 A mismatch between a correct computation and a claimed placement is a
 finding, not an engine failure: it gets the dedicated status
 "paper-discrepancy" (and a nonzero exit only under the strict flag).
@@ -17,10 +19,9 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from ._version import __version__
-from .bbw import Bundle, Grassmannian
-from .classes import EquivariantClass, named_class, wedge_class
+from .bbw import Bundle, Grassmannian, validate_bundle
+from .classes import EquivariantClass, det_shift, named_class, wedge_class
 from .koszul import (
-    AXIOMS,
     DimValue,
     deformation_numbers,
     euler_consistency,
@@ -28,7 +29,6 @@ from .koszul import (
     ideal_sheaf_cohomology,
     koszul_analysis,
     restricted_cohomology,
-    verify_claimed_decompositions,
 )
 from .weights import Weight, wedge_weights
 
@@ -51,13 +51,62 @@ FORMULAS: dict[str, Callable[[int], int]] = {
 }
 
 
-def _load_expected() -> dict[tuple[str, str], dict]:
-    text = resources.files("bbwkoszul").joinpath("data/expected.json").read_text()
-    data = json.loads(text)
-    return {(row["check"], row["field"]): row for row in data["rows"]}
+class Axiom(NamedTuple):
+    """An externally established vanishing consumed by the bookkeeping."""
+
+    name: str
+    statement: str
+    source: str
+
+    def to_dict(self) -> dict:
+        return self._asdict()
 
 
-_EXPECTED = _load_expected()
+# (wedge level, factor label, quotient head, quotient fill, subbundle weights with multiplicity)
+_Line = tuple[int, str, Weight, int, tuple[tuple[Weight, int], ...]]
+
+
+def _claimed_line(line: dict) -> _Line:
+    head, fill = tuple(line["quotient"]["head"]), line["quotient"]["fill"]
+    if len(head) > 1:
+        raise ValueError(f"claimed line {line}: a quotient head has at most one entry")
+    level, factor = line["level"], line["factor"]
+    # factor_pages has these factors on every Gr(2, d + 2), with wedge levels 1..4
+    if factor not in ("tangent", "sym3dual") or not (isinstance(level, int) and 1 <= level <= 4):
+        raise ValueError(f"claimed line {line}: no Koszul term of that factor and level")
+    subbundle = Counter(tuple(mu) for mu in line["subbundle"])
+    for mu in subbundle:  # at d = 3, which covers every d (see _load_expected)
+        validate_bundle(Grassmannian(2, 5), Bundle(head + (fill,) * (3 - len(head)), mu))
+    return level, factor, head, fill, tuple(subbundle.items())
+
+
+def _load_expected(
+    document: dict,
+) -> tuple[dict[tuple[str, str], dict], tuple[_Line, ...], dict[str, Axiom]]:
+    """The rows, the claimed lines and the axioms of a parsed expected.json.
+
+    Rows are keyed by (check, field). Each claimed line is validated
+    here, once for every d >= 3. Its quotient weight is a head of at most
+    one entry, so weakly decreasing, padded by the fill to length d: the
+    same entries at every d. A head not smaller than the fill then gives
+    a dominant integral weight of length d for every d >= 3, exactly when
+    it does at d = 3. So the one bundle validator, run on Gr(2, 5),
+    covers every context Gr(2, d + 2), and the decompositions check
+    builds each d's claimed classes unchecked. A line's factor and wedge
+    level must name a term of ``factor_pages``. A document of any other
+    schema is rejected.
+    """
+    if document.get("schema") != "expected-values@2":
+        raise ValueError(f"unknown expected-values schema {document.get('schema')!r}")
+    rows = {(row["check"], row["field"]): row for row in document["rows"]}
+    lines = tuple(map(_claimed_line, document["claimed_lines"]))
+    axioms = {row["name"]: Axiom(**row) for row in document["axioms"]}
+    return rows, lines, axioms
+
+
+_EXPECTED, _CLAIMED_LINES, AXIOMS = _load_expected(
+    json.loads(resources.files("bbwkoszul").joinpath("data/expected.json").read_text())
+)
 
 
 def _resolve_expected(check: str, field: str) -> tuple[object, Callable[[int], int] | None]:
@@ -177,15 +226,24 @@ def _run_plethysm(d: int, exp: dict):
 
 
 def _run_decompositions(d: int, exp: dict):
-    comparisons = verify_claimed_decompositions(d)
-    computed = {
-        "lines": [
-            {"line": c.line_id, "matches": c.matches, "det_shift": c.shift}
-            for c in comparisons
-        ],
-        "lines_matching": sum(c.matches for c in comparisons),
-    }
-    ok = computed["lines_matching"] == exp["lines_matching"] == len(comparisons)
+    """Each displayed decomposition against its Koszul term, up to a determinant twist.
+
+    The left-hand side is the term of that wedge level on the memoised
+    ideal-sheaf page of the factor; the right-hand side is the claimed
+    line at d, valid because ``_load_expected`` validated it for every d.
+    """
+    ctx = _plane(d)
+    factors = factor_pages(ctx)
+    lines = []
+    for level, factor, head, fill, subbundle in _CLAIMED_LINES:
+        lam = head + (fill,) * (d - len(head))
+        claimed = EquivariantClass._trusted(ctx, {Bundle(lam, mu): m for mu, m in subbundle})
+        shift = det_shift(factors[factor, level][0], claimed)
+        lines.append(
+            {"line": f"wedge{level}_{factor}", "matches": shift is not None, "det_shift": shift}
+        )
+    computed = {"lines": lines, "lines_matching": sum(line["matches"] for line in lines)}
+    ok = computed["lines_matching"] == exp["lines_matching"] == len(lines)
     return (PASS if ok else FAIL), computed, exp, "", ()
 
 

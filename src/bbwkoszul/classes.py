@@ -252,6 +252,9 @@ def wedge_class(cls_: EquivariantClass, j: int) -> EquivariantClass:
     (ROADMAP item 1 has a Gr(3, 7) witness), so no check or report field
     makes a claim about them.
     """
+    # the power comes from outside, like the twist of ``shifted``
+    if not isinstance(j, int):
+        raise ValueError(f"exterior power {j!r} is not an integer")
     items = list(cls_._summands.items())
     if len(items) != 1 or items[0][1] != 1:
         raise ValueError("exterior powers only for a single irreducible summand")

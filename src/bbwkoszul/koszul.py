@@ -6,8 +6,9 @@ regularly; the exterior powers of the dual of that bundle resolve the
 ideal sheaf of Z and, one step longer, its structure sheaf. Tensoring the
 resolution with a coefficient class F and taking cohomology gives a first
 page E1 whose columns this module computes exactly. The page keeps the
-tensored terms too, and the displayed decompositions of the terms are
-checked against them.
+tensored terms too, and ``factor_pages`` hands those of the tangent and
+normal-class pages to the ``decompositions`` check of ``checks``, which
+compares the displayed decompositions with them.
 
 Degeneration is decided by the engine's current heuristic, the isolation
 rule, which the one predicate ``_may_join`` states. An entry is taken to
@@ -18,9 +19,13 @@ entries are all isolated gets an exact dimension; anything else is
 reported as a range. The comparison maps of the restriction sequence go
 through the same predicate.
 
-Two facts consumed from outside (vanishing of global tangent fields of
-the zero locus, and of a smooth cubic) are data in an axiom registry, and
-every number assembled with their help names them.
+This module holds no claim of the paper. The displayed decompositions
+and the four axioms the report consumes (``H0_tangent_cubic_zero``,
+``Hq_tangent_cubic_zero``, ``H0_tangent_fano_zero`` and
+``KAN_vanishing``: vanishing facts taken from outside, not computed) are
+data in data/expected.json, validated once when ``checks`` loads it.
+``deformation_numbers`` names the axiom it consumes, and every report row
+assembled with an axiom's help lists it.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .bbw import Bundle, CohomologyProfile, Grassmannian
-from .classes import EquivariantClass, det_shift, named_class, wedge_class
+from .bbw import CohomologyProfile, Grassmannian
+from .classes import EquivariantClass, named_class, wedge_class
 from .weights import Weight
 
 IDEAL_SHEAF = "ideal-sheaf"
@@ -324,44 +329,6 @@ def restricted_cohomology(
     return dict(enumerate(koszul_analysis(ctx, coefficient).restricted))
 
 
-class Axiom(NamedTuple):
-    """An externally established vanishing consumed by the bookkeeping."""
-
-    name: str
-    statement: str
-    source: str
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-
-AXIOMS: dict[str, Axiom] = {
-    a.name: a
-    for a in (
-        Axiom(
-            "H0_tangent_fano_zero",
-            "H^0 of the tangent sheaf of the line scheme of a smooth cubic vanishes (d >= 5)",
-            "external input, assumed: Huybrechts, The Geometry of Cubic Hypersurfaces, Cor. 3.3.13",
-        ),
-        Axiom(
-            "KAN_vanishing",
-            "H^q of the tangent sheaf of the line scheme vanishes for q >= 2 (d >= 5)",
-            "external input, assumed: Kodaira-Akizuki-Nakano vanishing, anti-ample canonical sheaf",
-        ),
-        Axiom(
-            "H0_tangent_cubic_zero",
-            "H^0 of the tangent sheaf of a smooth cubic hypersurface of dimension >= 3 vanishes",
-            "external input, assumed: classical hypersurface deformation theory (Kodaira-Spencer)",
-        ),
-        Axiom(
-            "Hq_tangent_cubic_zero",
-            "H^q of the tangent sheaf of a smooth cubic hypersurface vanishes for q != 1",
-            "external input, assumed: classical hypersurface deformation theory (Kodaira-Spencer)",
-        ),
-    )
-}
-
-
 class DeformationNumbers(NamedTuple):
     """First-order deformation bookkeeping for one side of the correspondence.
 
@@ -463,65 +430,4 @@ def factor_pages(
         page = koszul_analysis(ctx, named_class(ctx, name)).page
         for p in sorted(page.columns, key=page.wedge_level):
             out[label, page.wedge_level(p)] = page.terms[p], page.columns[p]
-    return out
-
-
-class DecompositionComparison(NamedTuple):
-    """Outcome of re-deriving one displayed tensor decomposition."""
-
-    line_id: str
-    computed: EquivariantClass
-    claimed: EquivariantClass
-    shift: int | None
-
-    @property
-    def matches(self) -> bool:
-        return self.shift is not None
-
-
-def _claimed_lines(d: int) -> list[tuple[int, str, Weight, list[Weight]]]:
-    # (wedge level, factor, quotient weight, subbundle weights with multiplicity)
-    hook = (2,) + (1,) * (d - 1)
-    one = (1,) + (0,) * (d - 1)
-    threes = (3,) * d
-    zeros = (0,) * d
-    return [
-        (1, "tangent", hook, [(4, 0), (3, 1)]),
-        (2, "tangent", one, [(5, 0), (4, 1), (3, 2)]),
-        (3, "tangent", one, [(6, 2), (5, 3)]),
-        (4, "tangent", one, [(6, 5)]),
-        (1, "sym3dual", threes, [(6, 0), (5, 1), (4, 2), (3, 3)]),
-        (2, "sym3dual", threes, [(8, 1), (7, 2), (6, 3), (6, 3), (5, 4)]),
-        (3, "sym3dual", zeros, [(6, 0), (5, 1), (4, 2), (3, 3)]),
-        (4, "sym3dual", zeros, [(6, 3)]),
-    ]
-
-
-def verify_claimed_decompositions(d: int) -> list[DecompositionComparison]:
-    """Compare the eight displayed decompositions with the Koszul terms, mod det.
-
-    Each left-hand side (an exterior power of the cubic symmetric power of
-    S, tensored with the tangent bundle or with the dual cubic power) is
-    the term of that level on the memoised ideal-sheaf page of the factor;
-    the right-hand side is the hard-coded displayed class. Comparison
-    allows one uniform determinant twist per line.
-    """
-    if d < 3:
-        raise ValueError("need d >= 3")
-    ctx = Grassmannian(2, d + 2)
-    factors = factor_pages(ctx)
-    out = []
-    for level, factor, q_weight, s_weights in _claimed_lines(d):
-        computed, _ = factors[factor, level]
-        counts: dict[Bundle, int] = {}
-        for mu in s_weights:
-            bundle = Bundle(q_weight, mu)
-            counts[bundle] = counts.get(bundle, 0) + 1
-        # the public constructor validates each bundle of the displayed line
-        claimed = EquivariantClass(ctx, counts)
-        out.append(
-            DecompositionComparison(
-                f"wedge{level}_{factor}", computed, claimed, det_shift(computed, claimed)
-            )
-        )
     return out

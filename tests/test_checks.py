@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import pytest
 
 from bbwkoszul import checks
@@ -38,10 +41,8 @@ class TestRunChecks:
         assert "H0_tangent_cubic_zero" in axiom_names
         assert "H0_tangent_fano_zero" in axiom_names
         # axioms are listed verbatim from the registry
-        from bbwkoszul.koszul import AXIOMS
-
         for axiom in row.axioms:
-            assert axiom == AXIOMS[axiom["name"]].to_dict()
+            assert axiom == checks.AXIOMS[axiom["name"]].to_dict()
 
     def test_vanishing_table_rows_pass(self):
         report = run_checks(6, 12, ["lemma-cohomology"])
@@ -191,6 +192,52 @@ class TestExpectedValues:
                     for field in fields.get(c.check_id, ())
                 }
         assert not received
+
+
+def expected_document() -> dict:
+    """A fresh parse of the bundled expected.json, for a test to break."""
+    return json.loads(resources.files("bbwkoszul").joinpath("data/expected.json").read_text())
+
+
+def _set_line(index, **changes):
+    def breaks(document):
+        line = document["claimed_lines"][index]
+        for key, value in changes.items():
+            (line["quotient"] if key in ("head", "fill") else line)[key] = value
+
+    return breaks
+
+
+BAD_DOCUMENTS = {
+    # (1, 2^(d-1)) on the tangent side of level 1: not dominant at any d
+    "head-below-fill": _set_line(0, head=[1], fill=2),
+    "non-integer-fill": _set_line(4, fill=1.5),
+    "non-integer-subbundle-entry": _set_line(7, subbundle=[[6, 2.5]]),
+    "non-dominant-subbundle": _set_line(7, subbundle=[[6, 3], [0, 3]]),
+    "subbundle-of-length-3": _set_line(3, subbundle=[[6, 5, 0]]),
+    "head-of-two-entries": _set_line(1, head=[1, 1]),
+    "level-above-the-page": _set_line(3, level=5),
+    "non-integer-level": _set_line(2, level=3.0),
+    "unknown-factor": _set_line(4, factor="cotangent"),
+    "unknown-schema": lambda document: document.update(schema="expected-values@1"),
+}
+
+
+class TestExpectedDocument:
+    def test_bundled_document_is_what_the_checks_read(self):
+        assert checks._load_expected(expected_document()) == (
+            checks._EXPECTED,
+            checks._CLAIMED_LINES,
+            checks.AXIOMS,
+        )
+        assert len(checks._CLAIMED_LINES) == 8
+
+    @pytest.mark.parametrize("breaks", BAD_DOCUMENTS.values(), ids=BAD_DOCUMENTS)
+    def test_bad_documents_rejected_at_load(self, breaks):
+        document = expected_document()
+        breaks(document)
+        with pytest.raises(ValueError):
+            checks._load_expected(document)
 
 
 def test_exit_code_on_failure():

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from bbwkoszul import bbw, classes
+from bbwkoszul import bbw, checks, classes
 from bbwkoszul.bbw import Bundle, CohomologyProfile, Grassmannian, bbw_cohomology, bundle_rank
 from bbwkoszul.classes import (
     EquivariantClass,
@@ -16,7 +16,7 @@ from bbwkoszul.classes import (
     wedge_class,
 )
 from bbwkoszul import koszul
-from bbwkoszul.koszul import verify_claimed_decompositions
+from bbwkoszul.checks import UsageError, run_checks
 from bbwkoszul.oracles import gl2_tensor, random_bundle, schur_product_decomposition
 
 GR27 = Grassmannian(2, 7)
@@ -359,6 +359,11 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError):
             named_class(GR27, "tangent").shifted(t)
 
+    @pytest.mark.parametrize("j", [1.5, 2.0], ids=["float", "integral-float"])
+    def test_non_integer_powers_rejected(self, j):
+        with pytest.raises(ValueError, match="not an integer"):
+            wedge_class(named_class(GR27, "S"), j)
+
     @pytest.mark.parametrize(
         "summands",
         [
@@ -614,21 +619,30 @@ class TestDetShiftAlternatingQuotients:
             assert det_shift(b, a) == twist_reference(b, a)
 
 
+def decomposition_lines(d_min, d_max):
+    """{d: the computed lines of the decompositions row at d}, each row passing."""
+    report = run_checks(d_min, d_max, ["decompositions"])
+    assert all(r.status == "pass" for r in report.results)
+    return {r.d: r.computed["lines"] for r in report.results}
+
+
 class TestClaimedDecompositions:
+    # the displayed lines are data in expected.json; the decompositions
+    # row compares each with its Koszul term up to a determinant twist
+
     def test_all_lines_at_small_d(self):
-        for d in (3, 4, 5, 6):
-            comparisons = verify_claimed_decompositions(d)
-            assert len(comparisons) == 8
-            assert all(c.matches for c in comparisons)
+        for lines in decomposition_lines(3, 6).values():
+            assert len(lines) == 8
+            assert all(line["matches"] for line in lines)
 
     def test_top_tangent_line_at_d5(self):
-        by_id = {c.line_id: c for c in verify_claimed_decompositions(5)}
-        line = by_id["wedge4_tangent"]
-        assert line.computed == cls(GR27, (1, 0, 0, 0, 0), (6, 5))
-        assert line.shift == 0
+        computed, _ = koszul.factor_pages(GR27)["tangent", 4]
+        assert computed == cls(GR27, (1, 0, 0, 0, 0), (6, 5))
+        shifts = {line["line"]: line["det_shift"] for line in decomposition_lines(5, 5)[5]}
+        assert shifts["wedge4_tangent"] == 0
 
     def test_shift_values_at_d5(self):
-        shifts = {c.line_id: c.shift for c in verify_claimed_decompositions(5)}
+        shifts = {line["line"]: line["det_shift"] for line in decomposition_lines(5, 5)[5]}
         assert shifts == {
             "wedge1_tangent": 1,
             "wedge2_tangent": 0,
@@ -641,27 +655,27 @@ class TestClaimedDecompositions:
         }
 
     def test_full_range(self):
-        for d in range(3, 31):
-            assert all(c.matches for c in verify_claimed_decompositions(d))
+        by_d = decomposition_lines(3, 30)
+        assert sorted(by_d) == list(range(3, 31))
+        for lines in by_d.values():
+            assert len(lines) == 8 and all(line["matches"] for line in lines)
 
     def test_rejects_small_d(self):
-        with pytest.raises(ValueError):
-            verify_claimed_decompositions(2)
+        with pytest.raises(UsageError):
+            run_checks(2, 2, ["decompositions"])
 
-    @pytest.mark.parametrize("where", ["subbundle", "quotient"])
-    def test_claimed_lines_are_validated(self, monkeypatch, where):
-        # a non-dominant subbundle weight, or a quotient weight of length d + 1
-        lines = koszul._claimed_lines
+    def test_warm_pass_validates_no_bundle(self, monkeypatch):
+        # the lines are validated once, when expected.json is loaded
+        run_checks(5, 54, ["decompositions"])
+        checked = []
+        original = bbw.validate_bundle
 
-        def broken(d):
-            out = lines(d)
-            level, factor, q_weight, s_weights = out[-1]
-            if where == "subbundle":
-                out[-1] = (level, factor, q_weight, s_weights + [(0, 3)])
-            else:
-                out[-1] = (level, factor, q_weight + (0,), s_weights)
-            return out
+        def counting(ctx_, bundle):
+            checked.append(bundle)
+            return original(ctx_, bundle)
 
-        monkeypatch.setattr(koszul, "_claimed_lines", broken)
-        with pytest.raises(ValueError):
-            verify_claimed_decompositions(6)
+        monkeypatch.setattr(bbw, "validate_bundle", counting)
+        monkeypatch.setattr(classes, "validate_bundle", counting)
+        monkeypatch.setattr(checks, "validate_bundle", counting)
+        run_checks(5, 54, ["decompositions"])
+        assert checked == []

@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 
 from bbwkoszul import koszul
 from bbwkoszul.bbw import Bundle, Grassmannian
-from bbwkoszul.checks import run_checks
+from bbwkoszul.checks import AXIOMS, run_checks
 from bbwkoszul.classes import EquivariantClass, named_class
 from bbwkoszul.koszul import (
-    AXIOMS,
     IDEAL_SHEAF,
     RESTRICTION,
     DegreeVerdict,

@@ -21,7 +21,6 @@ from bbwkoszul import (
     koszul_analysis,
     named_class,
     run_checks,
-    verify_claimed_decompositions,
 )
 from bbwkoszul.checks import CATALOG
 
@@ -40,7 +39,6 @@ def records() -> dict[str, tuple]:
         "KoszulAnalysis": analysis,
         "Axiom": AXIOMS["KAN_vanishing"],
         "DeformationNumbers": deformation_numbers(5, "fano"),
-        "DecompositionComparison": verify_claimed_decompositions(5)[0],
         "CheckDef": CATALOG[0],
         "CheckResult": report.results[0],
         "Report": report,
@@ -49,7 +47,7 @@ def records() -> dict[str, tuple]:
 
 RECORD_NAMES = (
     "Grassmannian", "KoszulPage", "DegreeVerdict", "DimValue", "KoszulAnalysis", "Axiom",
-    "DeformationNumbers", "DecompositionComparison", "CheckDef", "CheckResult", "Report",
+    "DeformationNumbers", "CheckDef", "CheckResult", "Report",
 )
 
 
