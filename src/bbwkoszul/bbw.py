@@ -52,8 +52,8 @@ class Grassmannian(_GrassmannianFields):
     __slots__ = ()
 
     def __new__(cls, k: int, n: int) -> "Grassmannian":
-        if not 1 <= k < n:
-            raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        if not (isinstance(k, int) and isinstance(n, int) and 1 <= k < n):
+            raise ValueError(f"need integers 1 <= k < n, got k={k!r}, n={n!r}")
         return super().__new__(cls, k, n)
 
     @classmethod

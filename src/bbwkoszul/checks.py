@@ -93,12 +93,19 @@ def _load_expected(
     it does at d = 3. So the one bundle validator, run on Gr(2, 5),
     covers every context Gr(2, d + 2), and the decompositions check
     builds each d's claimed classes unchecked. A line's factor and wedge
-    level must name a term of ``factor_pages``. A document of any other
-    schema is rejected.
+    level must name a term of ``factor_pages``. The plethysm rows list
+    subbundle weights under the trivial quotient weight, a head of none
+    and a fill of 0, so they get the same check and the plethysm check
+    builds its targets unchecked too. A document of any other schema is
+    rejected.
     """
     if document.get("schema") != "expected-values@2":
         raise ValueError(f"unknown expected-values schema {document.get('schema')!r}")
     rows = {(row["check"], row["field"]): row for row in document["rows"]}
+    for row in document["rows"]:
+        if row["check"] == "plethysm-eq4":
+            for mu in row["value"]:
+                validate_bundle(Grassmannian(2, 5), Bundle((0, 0, 0), tuple(mu)))
     lines = tuple(map(_claimed_line, document["claimed_lines"]))
     axioms = {row["name"]: Axiom(**row) for row in document["axioms"]}
     return rows, lines, axioms
@@ -215,8 +222,11 @@ def _run_plethysm(d: int, exp: dict):
     ok = True
     for level in (2, 3, 4):
         expected_weights = [tuple(w) for w in exp[f"wedge{level}"]]
-        # each weight counted as often as it is listed; the constructor validates
-        target = EquivariantClass(ctx, Counter(Bundle(zero_q, mu) for mu in expected_weights))
+        # each weight counted as often as it is listed; _load_expected
+        # validated the weights for every d
+        target = EquivariantClass._trusted(
+            ctx, dict(Counter(Bundle(zero_q, mu) for mu in expected_weights))
+        )
         power = wedge_class(sym3, level)
         char_ok = _plethysm_character_ok(level, tuple(expected_weights))
         computed[f"wedge{level}"] = sorted(list(b.mu_s) for b in power.summands())
@@ -614,8 +624,8 @@ def run_checks(d_min: int = 3, d_max: int = 12, check_ids=None) -> Report:
     Checks whose hypotheses exclude a d produce a skipped row for it; the
     d-independent oracle suites produce a single row with d = null.
     """
-    if not 3 <= d_min <= d_max:
-        raise UsageError(f"need 3 <= d_min <= d_max, got {d_min}..{d_max}")
+    if not (isinstance(d_min, int) and isinstance(d_max, int) and 3 <= d_min <= d_max):
+        raise UsageError(f"need integers 3 <= d_min <= d_max, got {d_min!r}..{d_max!r}")
     defs = _resolve(check_ids)
     # d-major, so that the checks of one d reuse its Koszul analyses while
     # they are still memoised; the results are sorted below

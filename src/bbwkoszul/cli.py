@@ -9,28 +9,36 @@ Exit codes: 0 success, 1 at least one failed check, 2 usage error,
 3 (only under --strict-paper) at least one paper-discrepancy, 141 stdout
 closed before the report was written (the shell's code for SIGPIPE).
 
-A report goes to stdout in bounded writes, one per batch of JSON tokens
-or of text lines: never one per token, and never one for a whole report,
-which unbuffered stdout could lose part of without an error.
+A report goes to stdout in bounded writes, one per batch of JSON writer
+pieces or of text lines: never one per piece, and never one for a whole
+report, which unbuffered stdout could lose part of without an error.
+
+The JSON report is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
+plus a newline. The standard library writes indented output with its
+pure-Python encoder, which resumes one generator per nesting level for
+every token; the writer here appends each key or scalar to a list once and
+encodes strings with the C function the standard library uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .checks import UsageError, list_checks, run_checks
 
-# The indented encoder yields tokens of about 11 characters, so a batch is
-# about 5.6 KB: some 80 writes for a 455 KB report, not one per token. The
-# tokens of a batch live until they are joined, so larger batches raise
-# peak memory (4 096 tokens: +0.2 MB) and save no measurable time.
-JSON_TOKENS_PER_WRITE = 512
-# Text lines run to about 75 characters, so a batch is about 5 KB too. A
+# Counts the JSON writer's pieces: a bracket, or a key with its separator
+# and, when the value is a string or an int, the value. A batch ends at
+# the first result-row boundary after this many pieces, at about 5.7 KB
+# on average and 9 KB at most: 80 writes for the 455 KB paper sweep. The
+# pieces of a batch live until they are joined, so larger batches raise
+# peak memory (256 pieces: 58 KB traced, against 43 KB) and save no time.
+JSON_TOKENS_PER_WRITE = 160
+# Text lines run to about 75 characters, so a batch is about 5 KB. A
 # batch that the reader abandons part-way is cut short without an error on
 # unbuffered stdout; the next batch then meets the closed pipe.
 TEXT_LINES_PER_WRITE = 64
@@ -70,12 +78,102 @@ def _batches(pieces: Iterator[str], size: int) -> Iterator[str]:
         yield batch
 
 
+def _encode(o, out: list[str], newline: str, keys: dict[str, str]) -> None:
+    """Append the indented JSON of o to out.
+
+    newline is a line break followed by the indent of o's own line; keys
+    maps each dict key met so far to its encoding with the ": " after it.
+    A report holds only str keys, and no float (its arithmetic is exact):
+    anything else raises TypeError rather than writes other bytes.
+    """
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            k = keys.get(key)
+            if k is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+                k = keys[key] = encode_basestring_ascii(key) + ": "
+            value = o[key]
+            # the two commonest scalars join their key's piece
+            if type(value) is str:
+                out.append(sep + k + encode_basestring_ascii(value))
+            elif type(value) is int:
+                out.append(sep + k + int.__repr__(value))
+            else:
+                out.append(sep + k)
+                _encode(value, out, inner, keys)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            if type(value) is str:
+                out.append(sep + encode_basestring_ascii(value))
+            elif type(value) is int:
+                out.append(sep + int.__repr__(value))
+            else:
+                out.append(sep)
+                _encode(value, out, inner, keys)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(f"a report holds no value of type {type(o).__name__}")
+
+
 def _json_batches(payload) -> Iterator[str]:
-    yield from _batches(
-        json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload),
-        JSON_TOKENS_PER_WRITE,
-    )
-    yield "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, in batches.
+
+    The rows are the items of each list that a dict payload holds at its
+    top, such as the report's results. A batch is yielded at the first
+    row boundary after JSON_TOKENS_PER_WRITE pieces, so no more than a
+    batch and a row of the output are held at once.
+    """
+    out: list[str] = []
+    keys: dict[str, str] = {}
+    if isinstance(payload, dict) and payload:
+        sep = "{\n  "
+        for key in sorted(payload):
+            if not isinstance(key, str):
+                raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+            value = payload[key]
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            if isinstance(value, (list, tuple)) and value:
+                row_sep = "[\n    "
+                for row in value:
+                    out.append(row_sep)
+                    _encode(row, out, "\n    ", keys)
+                    row_sep = ",\n    "
+                    if len(out) >= JSON_TOKENS_PER_WRITE:
+                        yield "".join(out)
+                        out.clear()
+                out.append("\n  ]")
+            else:
+                _encode(value, out, "\n  ", keys)
+            sep = ",\n  "
+        out.append("\n}")
+    else:
+        _encode(payload, out, "\n", keys)
+    out.append("\n")
+    yield "".join(out)
 
 
 def _text_lines(report) -> list[str]:

@@ -222,8 +222,8 @@ class DimValue(_DimValueFields):
     __slots__ = ()
 
     def __new__(cls, lower: int, upper: int) -> "DimValue":
-        if not 0 <= lower <= upper:
-            raise ValueError(f"bad bounds [{lower}, {upper}]")
+        if not (isinstance(lower, int) and isinstance(upper, int) and 0 <= lower <= upper):
+            raise ValueError(f"need integers 0 <= lower <= upper, got [{lower!r}, {upper!r}]")
         return super().__new__(cls, lower, upper)
 
     @classmethod

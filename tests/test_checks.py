@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from bbwkoszul import checks
+from bbwkoszul import bbw, checks, classes
 from bbwkoszul.checks import (
     CATALOG,
     CheckResult,
@@ -136,6 +136,11 @@ class TestRunChecks:
         with pytest.raises(UsageError):
             run_checks(3, 5, ["no-such-check"])
 
+    @pytest.mark.parametrize("d_min, d_max", [(5.0, 6.0), (5, 6.0), (5.5, 7)])
+    def test_non_integer_range_is_a_usage_error(self, d_min, d_max):
+        with pytest.raises(UsageError):
+            run_checks(d_min, d_max, ["lemma-s"])
+
 
 class TestCatalog:
     def test_ten_entries(self):
@@ -208,6 +213,15 @@ def _set_line(index, **changes):
     return breaks
 
 
+def _set_row(check, field, value):
+    def breaks(document):
+        for row in document["rows"]:
+            if (row["check"], row["field"]) == (check, field):
+                row["value"] = value
+
+    return breaks
+
+
 BAD_DOCUMENTS = {
     # (1, 2^(d-1)) on the tangent side of level 1: not dominant at any d
     "head-below-fill": _set_line(0, head=[1], fill=2),
@@ -220,6 +234,9 @@ BAD_DOCUMENTS = {
     "non-integer-level": _set_line(2, level=3.0),
     "unknown-factor": _set_line(4, factor="cotangent"),
     "unknown-schema": lambda document: document.update(schema="expected-values@1"),
+    "non-dominant-plethysm-weight": _set_row("plethysm-eq4", "wedge3", [[3, 6]]),
+    "non-integer-plethysm-weight": _set_row("plethysm-eq4", "wedge2", [[5, 1], [3, 3.5]]),
+    "plethysm-weight-of-length-3": _set_row("plethysm-eq4", "wedge4", [[6, 6, 0]]),
 }
 
 
@@ -288,6 +305,22 @@ class TestPlethysmIdentity:
         doubled = dict(exp, wedge3=[[6, 3], [6, 3]])
         assert checks._run_plethysm(6, doubled)[0] == checks.FAIL
         assert checks._run_plethysm(7, doubled)[0] == checks.FAIL
+
+    def test_warm_pass_validates_no_bundle(self, monkeypatch):
+        # the target weights are validated once, when expected.json is loaded
+        run_checks(5, 54, ["plethysm-eq4"])
+        checked = []
+        original = bbw.validate_bundle
+
+        def counting(ctx, bundle):
+            checked.append(bundle)
+            return original(ctx, bundle)
+
+        monkeypatch.setattr(bbw, "validate_bundle", counting)
+        monkeypatch.setattr(classes, "validate_bundle", counting)
+        monkeypatch.setattr(checks, "validate_bundle", counting)
+        run_checks(5, 54, ["plethysm-eq4"])
+        assert checked == []
 
     def test_character_identity_is_keyed_on_level_and_weights(self):
         assert checks._plethysm_character_ok(3, ((6, 3),))

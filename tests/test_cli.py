@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -198,8 +199,7 @@ def test_json_writes_bounded_by_report_size(monkeypatch):
 def test_piped_unbuffered_child_writes_same_bytes():
     # each write reaches the pipe at once here; the batches must join up
     payload = checks.run_checks().to_dict(timestamp=None)
-    tokens = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
-    assert tokens > 2 * cli.JSON_TOKENS_PER_WRITE
+    assert sum(1 for _ in cli._json_batches(payload)) > 2
     proc = subprocess.run(
         [sys.executable, "-m", "bbwkoszul.cli", *GOLDEN_ARGV],
         capture_output=True,
@@ -209,6 +209,24 @@ def test_piped_unbuffered_child_writes_same_bytes():
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256
+
+
+def test_json_batches_stream_in_bounded_memory():
+    # a writer that built the whole 455 KB report, or all of its pieces,
+    # before the first write would hold many times this bound
+    payload = checks.run_checks(6, 55, SWEEP_CHECKS).to_dict(timestamp=None)
+    batches = 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for batch in cli._json_batches(payload):
+            batches += 1
+            del batch
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert batches > 20
+    assert peak <= 64 * 1024
 
 
 def test_closed_stdout_exits_141_without_traceback():

@@ -71,8 +71,15 @@ def test_record_is_an_immutable_named_tuple(name):
         lambda: DimValue(3, 2),
         lambda: DimValue(-1, 0),
         lambda: DimValue.of(4)._replace(upper=3),
+        lambda: Grassmannian(2, 5.0),
+        lambda: Grassmannian(2.0, 5),
+        lambda: Grassmannian(2, 5.5),
+        lambda: DimValue(1.5, 2),
     ],
-    ids=["gr-k-eq-n", "gr-k-zero", "gr-replace", "dim-reversed", "dim-negative", "dim-replace"],
+    ids=[
+        "gr-k-eq-n", "gr-k-zero", "gr-replace", "dim-reversed", "dim-negative", "dim-replace",
+        "gr-float-n", "gr-float-k", "gr-fractional-n", "dim-fractional",
+    ],
 )
 def test_invariants_are_validated(build):
     with pytest.raises(ValueError):
