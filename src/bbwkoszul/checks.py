@@ -80,74 +80,71 @@ def _claimed_line(line: dict) -> _Line:
     return level, factor, head, fill, tuple(subbundle.items())
 
 
+def _resolve_value(row: dict) -> tuple[object, Callable[[int], int] | None]:
+    """A row's value as (constant, None) or (None, its formula in d)."""
+    value = row["value"]
+    if row["check"] == "plethysm-eq4" and isinstance(value, list):
+        for mu in value:  # subbundle weights under the trivial quotient weight
+            validate_bundle(Grassmannian(2, 5), Bundle((0, 0, 0), tuple(mu)))
+        return value, None
+    if row["check"] != "plethysm-eq4" and isinstance(value, str):
+        if value in FORMULAS:
+            return None, FORMULAS[value]
+        if value.isascii() and value.isdigit():
+            return int(value), None
+    raise ValueError(f"expected-values row {row}: not a formula, an integer or weights")
+
+
 def _load_expected(
     document: dict,
-) -> tuple[dict[tuple[str, str], dict], tuple[_Line, ...], dict[str, Axiom]]:
-    """The rows, the claimed lines and the axioms of a parsed expected.json.
+) -> tuple[dict[str, tuple[tuple, str]], tuple[_Line, ...], dict[str, Axiom]]:
+    """The plans, the claimed lines and the axioms of a parsed expected.json.
 
-    Rows are keyed by (check, field). Each claimed line is validated
-    here, once for every d >= 3. Its quotient weight is a head of at most
-    one entry, so weakly decreasing, padded by the fill to length d: the
-    same entries at every d. A head not smaller than the fill then gives
-    a dominant integral weight of length d for every d >= 3, exactly when
-    it does at d = 3. So the one bundle validator, run on Gr(2, 5),
-    covers every context Gr(2, d + 2), and the decompositions check
-    builds each d's claimed classes unchecked. A line's factor and wedge
-    level must name a term of ``factor_pages``. The plethysm rows list
-    subbundle weights under the trivial quotient weight, a head of none
-    and a fill of 0, so they get the same check and the plethysm check
-    builds its targets unchecked too. A document of any other schema is
-    rejected.
+    A check's plan is its rows by field, as (field, constant, formula in
+    d), and their joined provenance. A row value must be a ``FORMULAS``
+    token, decimal digits or, in plethysm-eq4 only, a list of weights; a
+    check not in ``CATALOG`` or a repeated (check, field) is rejected.
+    Each claimed line is validated here, once for every d >= 3. Its
+    quotient weight is a head of at most one entry, so weakly decreasing,
+    padded by the fill to length d: the same entries at every d. A head
+    not smaller than the fill then gives a dominant integral weight of
+    length d for every d >= 3, exactly when it does at d = 3. So the one
+    bundle validator, run on Gr(2, 5), covers every context Gr(2, d + 2),
+    and the decompositions check builds each d's claimed classes
+    unchecked. A line's factor and wedge level must name a term of
+    ``factor_pages``. The plethysm rows list subbundle weights under the
+    trivial quotient weight, a head of none and a fill of 0, so they get
+    the same check and the plethysm check builds its targets unchecked
+    too. A document of any other schema is rejected.
     """
     if document.get("schema") != "expected-values@2":
         raise ValueError(f"unknown expected-values schema {document.get('schema')!r}")
-    rows = {(row["check"], row["field"]): row for row in document["rows"]}
+    catalog = {c.check_id for c in CATALOG}
+    by_check: dict[str, dict[str, dict]] = {}
     for row in document["rows"]:
-        if row["check"] == "plethysm-eq4":
-            for mu in row["value"]:
-                validate_bundle(Grassmannian(2, 5), Bundle((0, 0, 0), tuple(mu)))
+        fields = by_check.setdefault(row["check"], {})
+        if row["check"] not in catalog or row["field"] in fields:
+            raise ValueError(f"expected-values row {row}: unknown check or repeated field")
+        fields[row["field"]] = row
+    plans = {}
+    for check, fields in by_check.items():
+        rows = sorted(fields.items())
+        plans[check] = (
+            tuple((field, *_resolve_value(row)) for field, row in rows),
+            "; ".join(f"{field} = {row['value']} ({row['provenance']})" for field, row in rows),
+        )
     lines = tuple(map(_claimed_line, document["claimed_lines"]))
     axioms = {row["name"]: Axiom(**row) for row in document["axioms"]}
-    return rows, lines, axioms
+    return plans, lines, axioms
 
 
-_EXPECTED, _CLAIMED_LINES, AXIOMS = _load_expected(
-    json.loads(resources.files("bbwkoszul").joinpath("data/expected.json").read_text())
-)
-
-
-def _resolve_expected(check: str, field: str) -> tuple[object, Callable[[int], int] | None]:
-    """One row of expected.json as (constant, None) or (None, its formula in d)."""
-    value = _EXPECTED[(check, field)]["value"]
-    if isinstance(value, str):
-        if value in FORMULAS:
-            return None, FORMULAS[value]
-        return int(value), None
-    return value, None
+def _evaluate(rows: tuple, d: int | None) -> dict:
+    """A plan's rows at d, as {field: value}."""
+    return {field: value if formula is None else formula(d) for field, value, formula in rows}
 
 
 def expected_value(check: str, field: str, d: int):
-    value, formula = _resolve_expected(check, field)
-    return value if formula is None else formula(d)
-
-
-def _index_expected() -> dict[str, tuple[tuple[str, ...], str]]:
-    """Per check: the fields of its rows of expected.json, sorted, and their provenance."""
-    rows: dict[str, list[dict]] = {}
-    for key in sorted(_EXPECTED):
-        rows.setdefault(key[0], []).append(_EXPECTED[key])
-    return {
-        check: (
-            tuple(row["field"] for row in group),
-            "; ".join(f"{row['field']} = {row['value']} ({row['provenance']})" for row in group),
-        )
-        for check, group in rows.items()
-    }
-
-
-_BY_CHECK = _index_expected()
-# a check with no rows in expected.json
-_NO_ROWS = ((), "derived: dual-route property suites")
+    return _evaluate(_PLANS[check][0], d)[field]
 
 
 def _dv(value: DimValue):
@@ -510,6 +507,13 @@ CATALOG: tuple[CheckDef, ...] = (
     ),
 )
 
+_PLANS, _CLAIMED_LINES, AXIOMS = _load_expected(
+    json.loads(resources.files("bbwkoszul").joinpath("data/expected.json").read_text())
+)
+# a check with no rows in expected.json
+_NO_ROWS = ((), "derived: dual-route property suites")
+
+
 class CheckResult(NamedTuple):
     check: str
     d: int | None
@@ -581,6 +585,8 @@ def list_checks() -> list[dict]:
 
 
 def _resolve(check_ids) -> tuple[CheckDef, ...]:
+    if isinstance(check_ids, str):
+        raise UsageError(f"expected a collection of check ids, got the string {check_ids!r}")
     if not check_ids:
         return CATALOG
     by_id = {c.check_id: c for c in CATALOG}
@@ -591,18 +597,14 @@ def _resolve(check_ids) -> tuple[CheckDef, ...]:
     return tuple(c for c in CATALOG if c.check_id in wanted)
 
 
-# a check's rows of expected.json, each as (field, constant, formula in d)
-_Rows = tuple[tuple[str, object, Callable[[int], int] | None], ...]
-
-
 def _execute(
-    cdef: CheckDef, d: int | None, rows: _Rows, provenance: str, axiom_dicts: dict[str, dict]
+    cdef: CheckDef, d: int | None, plan: tuple, axiom_dicts: dict[str, dict]
 ) -> CheckResult:
+    rows, provenance = plan
     if d is not None and not cdef.applies(d):
         outcome = (SKIPPED, None, None, f"skipped: applies for {cdef.applicability}", ())
     else:
-        exp = {field: value if formula is None else formula(d) for field, value, formula in rows}
-        outcome = cdef.run(d, exp)
+        outcome = cdef.run(d, _evaluate(rows, d))
     status, computed, expected, notes, axiom_names = outcome
     # copies, so that no two rows share a mutable dict
     axioms = tuple(dict(axiom_dicts[name]) for name in dict.fromkeys(axiom_names))
@@ -634,15 +636,10 @@ def run_checks(d_min: int = 3, d_max: int = 12, check_ids=None) -> Report:
     ]
     for d in range(d_min, d_max + 1):
         tasks.extend((cdef, d) for cdef in defs if not cdef.d_independent)
-    # each check's expectations resolved once per call, not once per row;
-    # not at import, so that a patched expected.json row is seen
-    plans = {}
-    for cdef in defs:
-        fields, provenance = _BY_CHECK.get(cdef.check_id, _NO_ROWS)
-        rows = tuple((field, *_resolve_expected(cdef.check_id, field)) for field in fields)
-        plans[cdef.check_id] = (rows, provenance)
     axiom_dicts = {name: axiom.to_dict() for name, axiom in AXIOMS.items()}
-    results = [_execute(cdef, d, *plans[cdef.check_id], axiom_dicts) for cdef, d in tasks]
+    results = [
+        _execute(cdef, d, _PLANS.get(cdef.check_id, _NO_ROWS), axiom_dicts) for cdef, d in tasks
+    ]
     order = {c.check_id: i for i, c in enumerate(CATALOG)}
     results.sort(key=lambda r: (order[r.check], r.d if r.d is not None else -1))
     return Report(

@@ -15,11 +15,34 @@ from bbwkoszul.checks import (
 )
 
 
+def expected_document() -> dict:
+    """A fresh parse of the bundled expected.json, for a test to break."""
+    return json.loads(resources.files("bbwkoszul").joinpath("data/expected.json").read_text())
+
+
+def _set_row(check, field, value):
+    def breaks(document):
+        for row in document["rows"]:
+            if (row["check"], row["field"]) == (check, field):
+                row["value"] = value
+
+    return breaks
+
+
+def plan_with_row(check, field, value):
+    """The plan of ``check`` loaded from a fresh document in which one row holds ``value``."""
+    document = expected_document()
+    _set_row(check, field, value)(document)
+    return checks._load_expected(document)[0][check]
+
+
 def perturbed_rows(d):
     """Each (check, field) row of expected.json with a value that is wrong at d."""
-    for (check, field), row in sorted(checks._EXPECTED.items()):
-        if isinstance(row["value"], list):
-            yield check, field, row["value"] + [[0, 0]]
+    rows = sorted(expected_document()["rows"], key=lambda row: (row["check"], row["field"]))
+    for row in rows:
+        check, field, value = row["check"], row["field"], row["value"]
+        if isinstance(value, list):
+            yield check, field, value + [[0, 0]]
         else:
             yield check, field, str(expected_value(check, field, d) + 1)
 
@@ -85,8 +108,7 @@ class TestRunChecks:
     def test_d5_structure_follows_expected_values(self, monkeypatch, check, field, wrong):
         # every row of expected.json is read: a wrong value fails the row,
         # except on the disputed placement, where 2 + 1 is the computed level
-        key = (check, field)
-        monkeypatch.setitem(checks._EXPECTED, key, {**checks._EXPECTED[key], "value": wrong})
+        monkeypatch.setitem(checks._PLANS, check, plan_with_row(check, field, wrong))
         status = only(run_checks(5, 5, [check]), check, 5).status
         assert status == ("pass" if field == "normal_side_wedge_d5" else "fail")
 
@@ -135,6 +157,10 @@ class TestRunChecks:
             run_checks(5, 4)
         with pytest.raises(UsageError):
             run_checks(3, 5, ["no-such-check"])
+
+    def test_bare_string_of_check_ids_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="a collection of check ids"):
+            run_checks(5, 5, "lemma-s")
 
     @pytest.mark.parametrize("d_min, d_max", [(5.0, 6.0), (5, 6.0), (5.5, 7)])
     def test_non_integer_range_is_a_usage_error(self, d_min, d_max):
@@ -187,8 +213,8 @@ class TestExpectedValues:
         monkeypatch.setattr(checks, "CATALOG", catalog)
         run_checks(3, 12)
         fields = {}
-        for check, field in checks._EXPECTED:
-            fields.setdefault(check, []).append(field)
+        for row in expected_document()["rows"]:
+            fields.setdefault(row["check"], []).append(row["field"])
         for c in CATALOG:
             ds = [None] if c.d_independent else range(3, 13)
             for d in ds:
@@ -197,11 +223,6 @@ class TestExpectedValues:
                     for field in fields.get(c.check_id, ())
                 }
         assert not received
-
-
-def expected_document() -> dict:
-    """A fresh parse of the bundled expected.json, for a test to break."""
-    return json.loads(resources.files("bbwkoszul").joinpath("data/expected.json").read_text())
 
 
 def _set_line(index, **changes):
@@ -213,11 +234,9 @@ def _set_line(index, **changes):
     return breaks
 
 
-def _set_row(check, field, value):
+def _add_row(**changes):
     def breaks(document):
-        for row in document["rows"]:
-            if (row["check"], row["field"]) == (check, field):
-                row["value"] = value
+        document["rows"].append({**document["rows"][0], **changes})
 
     return breaks
 
@@ -237,13 +256,21 @@ BAD_DOCUMENTS = {
     "non-dominant-plethysm-weight": _set_row("plethysm-eq4", "wedge3", [[3, 6]]),
     "non-integer-plethysm-weight": _set_row("plethysm-eq4", "wedge2", [[5, 1], [3, 3.5]]),
     "plethysm-weight-of-length-3": _set_row("plethysm-eq4", "wedge4", [[6, 6, 0]]),
+    "formula-token-with-a-space": _set_row("theorem-moduli", "h1_tangent", "binom(d+2, 3)"),
+    "integer-spelled-out": _set_row("decompositions", "lines_matching", "eight"),
+    "non-integer-value": _set_row("lemma-cohomology", "h0_pairing", 1.5),
+    "null-value": _set_row("prop-cubic", "h1_ideal_twist", None),
+    "json-integer-value": _set_row("prop-fano", "h0_ideal_normal", 1),
+    "weights-outside-plethysm": _set_row("lemma-s", "h0_sym_cube_dual", [[6, 3]]),
+    "repeated-row": _add_row(),
+    "unknown-check-id": _add_row(check="theorem-modul"),
 }
 
 
 class TestExpectedDocument:
     def test_bundled_document_is_what_the_checks_read(self):
         assert checks._load_expected(expected_document()) == (
-            checks._EXPECTED,
+            checks._PLANS,
             checks._CLAIMED_LINES,
             checks.AXIOMS,
         )

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -135,6 +137,22 @@ def test_default_report_matches_golden_digest(capsys):
     code, out, _ = run_cli(capsys, *GOLDEN_ARGV)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256
+
+
+def test_golden_digest_has_one_value_wherever_it_is_pinned():
+    # the benchmark gate and the installed-package CI step pin the same
+    # digest, so a re-pin must change all three places together
+    root = Path(__file__).resolve().parents[1]
+    bench = [
+        node.value.value
+        for node in ast.parse((root / "perfbench" / "run.py").read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["GOLDEN_SHA256"]
+    ]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("- name: Installed package smoke test", 1)[1].split("- name:", 1)[0]
+    assert bench == [GOLDEN_SHA256]
+    assert re.findall(r"\b[0-9a-f]{64}\b", step) == [GOLDEN_SHA256]
 
 
 # the default range stops at GL(14); these reach GL(62) and GL(302), where
