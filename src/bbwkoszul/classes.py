@@ -1,10 +1,12 @@
 """Formal direct sums of irreducible homogeneous bundles and their calculus.
 
 Tensor products decompose the quotient factors and the subbundle factors
-with ``weights.tensor_weights``, and exterior powers the subbundle factor
-with ``weights.wedge_weights``: both straighten by the signed sort
-``weights.dominant_sort`` and take GL(r) weights with negative entries as
-they are.
+with ``weights._tensor_product``, the cached product behind
+``weights.tensor_weights`` without that wrapper's checks on outside input
+(a validated bundle has integer factors of the context's ranks), and
+exterior powers the subbundle factor with ``weights.wedge_weights``:
+both straighten by the signed sort ``weights.dominant_sort`` and take
+GL(r) weights with negative entries as they are.
 Cohomology of a class is the multiplicity-weighted union over its
 summands, gathered into one profile, and each summand's group comes from
 ``bbw._place``, which places the k subbundle entries.
@@ -48,7 +50,7 @@ from .bbw import (
     canonical_bundle,
     validate_bundle,
 )
-from .weights import Weight, tensor_weights, wedge_weights, weyl_dimension
+from .weights import Weight, _tensor_product, wedge_weights, weyl_dimension
 
 
 class EquivariantClass:
@@ -66,7 +68,7 @@ class EquivariantClass:
     ``serre_check`` (the dual of a bundle that
     ``bbw_cohomology`` has just validated, and the canonical bundle)
     build only from classes that hold the invariant, and the weights that
-    ``tensor_weights`` and ``wedge_weights`` return are dominant of the
+    ``_tensor_product`` and ``wedge_weights`` return are dominant of the
     same length; twisting by an integer, which ``shifted`` checks, keeps
     a weight dominant. ``cohomology()`` and ``rank()`` rely on it and
     check no summand again.
@@ -196,10 +198,10 @@ class EquivariantClass:
 
 def _tensor_bundles(b1: Bundle, b2: Bundle) -> dict[Bundle, int]:
     # distinct (lam, mu) pairs are distinct bundles, so nothing accumulates
-    s_part = tensor_weights(b1.mu_s, b2.mu_s).items()
+    s_part = _tensor_product(b1.mu_s, b2.mu_s).items()
     return {
         Bundle(lam, mu): cq * cs
-        for lam, cq in tensor_weights(b1.lam_q, b2.lam_q).items()
+        for lam, cq in _tensor_product(b1.lam_q, b2.lam_q).items()
         for mu, cs in s_part
     }
 

@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from operator import sub
 from types import MappingProxyType
 
@@ -35,10 +35,11 @@ from .weights import (
 )
 
 
-# Entries after the default report: 44 Schur expansions and 768 Kostka
-# numbers; after lr_suite(6): 174 and 10 484. The bounds hold either
-# working set, so a warm pass still hits, and keep a long-lived process
-# from growing without limit.
+# Entries after the default report: 71 Schur expansions (the 44 the
+# products read and the sub-expansions the branching rule builds them
+# from) and 411 Kostka numbers; after lr_suite(6): 239 and 5 695. The
+# bounds hold either working set, so a warm pass still hits, and keep a
+# long-lived process from growing without limit.
 SCHUR_MONOMIALS_CACHE_SIZE = 256
 KOSTKA_CACHE_SIZE = 16384
 # (total, nvars) keys of the partition lists: 28 for lr_suite(4), the
@@ -72,7 +73,9 @@ def ssyt_contents(shape: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
     The content vector records how many times each of 1..n appears; one
     vector is yielded per tableau, so duplicates count multiplicity. This
     is the tableau route: the engine's ``weights.weight_multiplicities``
-    counts the same weights by Kostka numbers and never lists a tableau.
+    counts the same weights by Kostka numbers, and ``_schur_monomials``
+    builds them by branching; neither lists a tableau, and the tests
+    compare both with this reference.
     """
     p = as_partition(shape)
     if len(p) > n:
@@ -97,13 +100,41 @@ def ssyt_contents(shape: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
     yield from fill(0, (0,) * p[0])
 
 
-@lru_cache(maxsize=SCHUR_MONOMIALS_CACHE_SIZE)
-def _schur_monomials(shape: Weight, nvars: int) -> dict[tuple[int, ...], int]:
-    """Monomial expansion of a Schur polynomial: exponent vector -> coefficient."""
-    out: Counter[tuple[int, ...]] = Counter()
-    for content in ssyt_contents(shape, nvars):
-        out[content] += 1
-    return dict(out)
+def _branching_expansion():
+    # The recursion calls the cached function through this closure, not
+    # through the module attribute, so a patch over ``_schur_monomials``
+    # cannot store its own values as the sub-expansions of the real one.
+    @lru_cache(maxsize=SCHUR_MONOMIALS_CACHE_SIZE)
+    def _schur_monomials(shape: Weight, nvars: int) -> dict[tuple[int, ...], int]:
+        """Monomial expansion of a Schur polynomial: exponent vector -> coefficient.
+
+        ``shape`` is a partition. Expands by the branching rule
+        s_lambda(x_1..x_n) = sum over eta of s_eta(x_1..x_(n-1)) x_n^(|lambda|-|eta|),
+        over the partitions eta that interlace lambda (lambda_(i+1) <= eta_i
+        <= lambda_i), each sub-expansion read from this cache. No tableau is
+        listed; ``ssyt_contents`` is the tableau reference the tests compare
+        this with.
+        """
+        if len(shape) > nvars:
+            return {}
+        if not shape:
+            return {(0,) * nvars: 1}
+        size = sum(shape)
+        ranges = [range(low, high + 1) for high, low in zip(shape, shape[1:] + (0,))]
+        out: dict[tuple[int, ...], int] = {}
+        for eta in product(*ranges):
+            # eta is a partition, so its zeros are the trailing ones
+            below = _schur_monomials(eta[: len(eta) - eta.count(0)], nvars - 1)
+            last = (size - sum(eta),)
+            for mono, c in below.items():
+                key = mono + last
+                out[key] = out.get(key, 0) + c
+        return out
+
+    return _schur_monomials
+
+
+_schur_monomials = _branching_expansion()
 
 
 def _strip_shrinks(shape: Weight, size: int) -> list[Weight]:

@@ -116,8 +116,13 @@ def _weyl_product(w: Weight) -> int:
             = perm(s+L+delta-1, m) / perm(s+m-1, m),   m = min(delta, L),
 
     a ratio of two falling factorials of m terms each, because the middle
-    expression is symmetric in L and delta. The work follows the number of
-    (entry, later run) pairs, not of entry pairs.
+    expression is symmetric in L and delta. When m = 1 each factor is
+    (s + L + delta - 1) / s, so the product over the entries of A, whose s
+    run through consecutive integers up to the gap g = first index of B
+    minus first index of A, telescopes as well, into
+    perm(g + L + delta - 1, len(A)) / perm(g, len(A)). The work follows the
+    number of (run, later run) pairs with m = 1 and of (entry, later run)
+    pairs with m > 1, not the number of entry pairs.
     """
     if not is_dominant(w):
         raise ValueError(f"weight not dominant: {w}")
@@ -133,7 +138,12 @@ def _weyl_product(w: Weight) -> int:
         for value_b, start_b, length_b in runs[a + 1 :]:
             delta = value_a - value_b
             m = min(delta, length_b)
-            for s in range(start_b - start_a - length_a + 1, start_b - start_a + 1):
+            gap = start_b - start_a
+            if m == 1:
+                num *= perm(gap + length_b + delta - 1, length_a)
+                den *= perm(gap, length_a)
+                continue
+            for s in range(gap - length_a + 1, gap + 1):
                 num *= perm(s + length_b + delta - 1, m)
                 den *= perm(s + m - 1, m)
     q, r = divmod(num, den)
@@ -146,13 +156,17 @@ def weyl_dimension(weight: Iterable[int], n: int | None = None) -> int:
     """Dimension of the GL(n) irreducible with highest weight ``weight``.
 
     The weight must be dominant of length exactly n (n defaults to the
-    length). Adding a constant to every entry does not change the result.
+    length), with integer entries. Adding a constant to every entry does
+    not change the result.
     """
     w = tuple(weight)
     if n is None:
         n = len(w)
     if len(w) != n:
         raise ValueError(f"weight {w} does not have length {n}")
+    # a float entry hashes like the integer, so the cache would mix them
+    if type(sum(w)) is not int:
+        raise ValueError(f"weight {w} has a non-integer entry")
     return _weyl_product(w)
 
 
@@ -344,11 +358,11 @@ def _boxes(w: Weight) -> tuple[int, int]:
 def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Mapping[Weight, int]:
     """Decompose the tensor product of two GL(n) irreducibles (Brauer-Klimyk).
 
-    ``a`` and ``b`` are dominant weights of the same length n; entries may
-    be negative. The product is ``_straighten`` of one factor plus each
-    weight of the other, counted with multiplicity. The weights come from
-    the partition with the fewest boxes among those of a, b and their
-    duals, ties going to the factor with the smaller spread
+    ``a`` and ``b`` are dominant weights of the same length n with integer
+    entries, which may be negative. The product is ``_straighten`` of one
+    factor plus each weight of the other, counted with multiplicity. The
+    weights come from the partition with the fewest boxes among those of
+    a, b and their duals, ties going to the factor with the smaller spread
     ``w[0] - w[-1]``: the boxes bound the number of weights, so
     Sym^2 V (x) wedge^(n/2) V lists the n(n+1)/2 weights of Sym^2 V, not
     the C(n, n/2) of the exterior power. ``weight_multiplicities`` gives
@@ -361,6 +375,9 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Mapping[Weight, int]:
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ValueError(f"weights of different lengths: {a}, {b}")
+    # a float entry hashes like the integer, so the cache would mix them
+    if type(sum(a) + sum(b)) is not int:
+        raise ValueError(f"weights {a}, {b} have a non-integer entry")
     return _tensor_product(a, b)
 
 
@@ -417,10 +434,12 @@ def littlewood_richardson(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]
     no longer loses constituents, multiplies them with ``tensor_weights``
     and strips the zeros again. The padding multiplies the rearrangements
     of each weight, not its Kostka number, which is computed once per
-    dominant weight. Returns a Counter mapping each partition ``nu`` to
-    its multiplicity.
+    dominant weight. The product's weights are dominant and non-negative
+    by construction, so their zeros are the trailing ones and are cut off
+    without validating each weight again. Returns a Counter mapping each
+    partition ``nu`` to its multiplicity.
     """
     pa, pb = as_partition(a), as_partition(b)
     n = max(len(pa) + len(pb), 1)
     product = tensor_weights(pa + (0,) * (n - len(pa)), pb + (0,) * (n - len(pb)))
-    return Counter({as_partition(nu): m for nu, m in product.items()})
+    return Counter({nu[: n - nu.count(0)]: m for nu, m in product.items()})

@@ -58,6 +58,15 @@ def test_every_lru_cache_is_bounded():
     assert oracles.PARTITION_LIST_CACHE_SIZE == 128
 
 
+def test_lr_suite_schur_expansions_fit_their_cache():
+    # every sub-expansion the branching rule reads is built once: none is
+    # evicted before its last reader
+    oracles._schur_monomials.cache_clear()
+    oracles.lr_suite(6)
+    info = oracles._schur_monomials.cache_info()
+    assert info.misses == info.currsize <= oracles.SCHUR_MONOMIALS_CACHE_SIZE
+
+
 def test_wedge_weights_value_is_read_only():
     assert weights.wedge_weights.cache_info().maxsize == weights.WEDGE_CACHE_SIZE
     square = weights.wedge_weights((3, 0), 2)

@@ -1,10 +1,24 @@
-"""The oracle suites still catch errors in the route they re-derive.
+"""The oracle routes agree with their references and still catch errors.
 
+The brute-force LR route expands Schur polynomials by branching; the
+tableau listing ``ssyt_contents`` is the reference it is compared with.
 Each mutant corrupts one input of a suite's second route; the suite must
 then report failed cases rather than pass or raise.
 """
 
+from collections import Counter
+
 from bbwkoszul import oracles
+from bbwkoszul.weights import partitions_of
+
+
+def test_branching_expansions_match_the_tableau_contents():
+    # n below the number of rows included: no tableau, no monomial
+    for size in range(7):
+        for shape in partitions_of(size):
+            for n in range(8):
+                expected = Counter(oracles.ssyt_contents(shape, n))
+                assert oracles._schur_monomials(shape, n) == expected, (shape, n)
 
 
 def _drop_lowest(monomials):
@@ -24,6 +38,14 @@ def test_lr_suite_reports_a_dropped_schur_monomial(monkeypatch):
     report = oracles.lr_suite(3)
     assert report["cases"] == 28
     assert report["failures"]
+    # the suites above left lr_suite(3)'s expansions cached, but none
+    # expands in 13 letters, so this one is built under the patch
+    original((2, 1), 13)
+    monkeypatch.undo()
+    # an expansion reaches its sub-expansions through the real cache, so
+    # the patch left no corrupt entry behind for a later reader
+    assert original((2, 1), 13) == Counter(oracles.ssyt_contents((2, 1), 13))
+    assert oracles.lr_suite(3)["failures"] == []
 
 
 def test_gl2_suite_reports_a_corrupt_cached_character(monkeypatch):

@@ -4,7 +4,7 @@ from math import comb
 from operator import add
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bbwkoszul import oracles, weights
 from bbwkoszul.oracles import (
@@ -166,7 +166,25 @@ class TestWeylDimension:
             assert weights._weyl_product.cache_info().currsize == size
             assert weyl_dimension(dominant) == dense_weyl_product(dominant)
 
+    def test_rejects_a_float_entry_whether_or_not_its_integer_twin_is_cached(self):
+        # (2.0, 0.0) hashes like (2, 0), so only a test before the cache
+        # keeps the float weight from reading or storing the integer's entry
+        for integer_first in (False, True):
+            weights._weyl_product.cache_clear()
+            if integer_first:
+                assert weyl_dimension((2, 0)) == 3
+            with pytest.raises(ValueError, match="non-integer"):
+                weyl_dimension((2.0, 0.0))
+            assert weyl_dimension((2, 0)) == 3
+
     @given(run_weights)
+    # m = min(delta, length of the later run) = 1 after an earlier run of
+    # several entries, whose factors telescope into two falling factorials:
+    # delta = 1 between two long runs, and a last run of one entry
+    @example((3,) * 6 + (2,) * 7)
+    @example((5,) * 4 + (4,) * 5 + (-2,) * 3)
+    @example((4,) * 8 + (0,))
+    @example((2,) * 5 + (1,) * 4 + (-3,))
     def test_matches_dense_product(self, weight):
         assert weyl_dimension(weight) == dense_weyl_product(weight)
 
@@ -294,6 +312,20 @@ class TestTensorWeights:
         product = tensor_weights(wedge10, sym2)
         assert listed == [sym2]
         assert product == Counter({(3,) + (1,) * 9 + (0,) * 10: 1, (2,) + (1,) * 10 + (0,) * 9: 1})
+
+    def test_rejects_a_float_entry_whether_or_not_its_integer_twin_is_cached(self):
+        # (2.0, 0.0) hashes like (2, 0), so only a test before the cache
+        # keeps the float factor from reading or storing the integer's entry
+        for integer_first in (False, True):
+            weights._tensor_product.cache_clear()
+            if integer_first:
+                tensor_weights((2, 0), (1, 0))
+            with pytest.raises(ValueError, match="non-integer"):
+                tensor_weights((2.0, 0.0), (1, 0))
+            product = tensor_weights((2, 0), (1, 0))
+            # (3.0, 0.0) == (3, 0), so the types are compared as well
+            assert [tuple(map(type, w)) for w in product] == [(int, int)] * 2
+            assert product == {(3, 0): 1, (2, 1): 1}
 
     @given(weight_pair_strategy())
     def test_duality(self, pair):
