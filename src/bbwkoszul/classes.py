@@ -1,12 +1,13 @@
 """Formal direct sums of irreducible homogeneous bundles and their calculus.
 
 Tensor products decompose the quotient factors and the subbundle factors
-with ``weights._tensor_product``, the cached product behind
-``weights.tensor_weights`` without that wrapper's checks on outside input
-(a validated bundle has integer factors of the context's ranks), and
-exterior powers the subbundle factor with ``weights.wedge_weights``:
-both straighten by the signed sort ``weights.dominant_sort`` and take
-GL(r) weights with negative entries as they are.
+with ``weights._tensor_product``, and exterior powers the subbundle
+factor with ``weights._wedge_product``: the cached cores behind
+``weights.tensor_weights`` and ``weights.wedge_weights`` without those
+wrappers' checks on outside input (a validated bundle has dominant
+integer factors of the context's ranks). Both straighten by the signed
+sort ``weights.dominant_sort`` and take GL(r) weights with negative
+entries as they are.
 Cohomology of a class is the multiplicity-weighted union over its
 summands, gathered into one profile, and each summand's group comes from
 ``bbw._place``, which places the k subbundle entries.
@@ -50,7 +51,7 @@ from .bbw import (
     canonical_bundle,
     validate_bundle,
 )
-from .weights import Weight, _tensor_product, wedge_weights, weyl_dimension
+from .weights import Weight, _tensor_product, _wedge_product, weyl_dimension
 
 
 class EquivariantClass:
@@ -68,7 +69,7 @@ class EquivariantClass:
     ``serre_check`` (the dual of a bundle that
     ``bbw_cohomology`` has just validated, and the canonical bundle)
     build only from classes that hold the invariant, and the weights that
-    ``_tensor_product`` and ``wedge_weights`` return are dominant of the
+    ``_tensor_product`` and ``_wedge_product`` return are dominant of the
     same length; twisting by an integer, which ``shifted`` checks, keeps
     a weight dominant. ``cohomology()`` and ``rank()`` rely on it and
     check no summand again.
@@ -247,7 +248,7 @@ def named_class(ctx: Grassmannian, name: str) -> EquivariantClass:
 def wedge_class(cls_: EquivariantClass, j: int) -> EquivariantClass:
     """Exterior power of a single S-only irreducible summand, for any subbundle rank.
 
-    ``weights.wedge_weights`` decomposes the power of the subbundle
+    ``weights._wedge_product`` decomposes the power of the subbundle
     factor; powers above the rank of the summand come out empty. On
     Gr(3, n) this builds every Koszul term, but the degeneration verdicts
     of those pages still rest on the isolation rule, which is unsound
@@ -257,13 +258,15 @@ def wedge_class(cls_: EquivariantClass, j: int) -> EquivariantClass:
     # the power comes from outside, like the twist of ``shifted``
     if not isinstance(j, int):
         raise ValueError(f"exterior power {j!r} is not an integer")
+    if j < 0:
+        raise ValueError("negative exterior power")
     items = list(cls_._summands.items())
     if len(items) != 1 or items[0][1] != 1:
         raise ValueError("exterior powers only for a single irreducible summand")
     bundle = items[0][0]
     if any(bundle.lam_q):
         raise ValueError("exterior powers only for S-only classes")
-    parts = wedge_weights(bundle.mu_s, j)
+    parts = _wedge_product(bundle.mu_s, j)
     return EquivariantClass._trusted(
         cls_.ctx, {Bundle(bundle.lam_q, mu): m for mu, m in parts.items()}
     )

@@ -21,7 +21,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from operator import sub
+from operator import ge, sub
 from types import MappingProxyType
 
 from .bbw import Bundle, Grassmannian
@@ -50,21 +50,9 @@ GL2_CHARACTER_CACHE_SIZE = 256
 
 
 def _rows(length: int, floor: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    # weakly increasing rows with row[c] >= floor[c] and entries <= n
-    row = [0] * length
-
-    def rec(c: int, lo: int) -> Iterator[tuple[int, ...]]:
-        for v in range(max(lo, floor[c]), n + 1):
-            row[c] = v
-            if c + 1 == length:
-                yield tuple(row)
-            else:
-                yield from rec(c + 1, v)
-
-    if length == 0:
-        yield ()
-    else:
-        yield from rec(0, 1)
+    """Weakly increasing rows of entries in 1..n with row[c] >= floor[c]."""
+    rows = combinations_with_replacement(range(1, n + 1), length)
+    return (row for row in rows if all(map(ge, row, floor)))
 
 
 def ssyt_contents(shape: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
@@ -75,7 +63,10 @@ def ssyt_contents(shape: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
     is the tableau route: the engine's ``weights.weight_multiplicities``
     counts the same weights by Kostka numbers, and ``_schur_monomials``
     builds them by branching; neither lists a tableau, and the tests
-    compare both with this reference.
+    compare both with this reference. Both peel horizontal strips listed
+    by one product over the interlacing ranges; this route fills the
+    tableau row by row instead, each row a weakly increasing choice of
+    letters above the row before, so it shares no walk with them.
     """
     p = as_partition(shape)
     if len(p) > n:
@@ -100,6 +91,16 @@ def ssyt_contents(shape: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
     yield from fill(0, (0,) * p[0])
 
 
+def _interlacing(shape: Weight) -> Iterator[Weight]:
+    """The eta with shape_(i+1) <= eta_i <= shape_i, zeros cut: shape/eta is a strip.
+
+    Every horizontal strip of ``shape``, of any size, leaves one of these.
+    """
+    ranges = [range(low, high + 1) for high, low in zip(shape, shape[1:] + (0,))]
+    # eta is a partition, so its zeros are the trailing ones
+    return (eta[: len(eta) - eta.count(0)] for eta in product(*ranges))
+
+
 def _branching_expansion():
     # The recursion calls the cached function through this closure, not
     # through the module attribute, so a patch over ``_schur_monomials``
@@ -120,11 +121,9 @@ def _branching_expansion():
         if not shape:
             return {(0,) * nvars: 1}
         size = sum(shape)
-        ranges = [range(low, high + 1) for high, low in zip(shape, shape[1:] + (0,))]
         out: dict[tuple[int, ...], int] = {}
-        for eta in product(*ranges):
-            # eta is a partition, so its zeros are the trailing ones
-            below = _schur_monomials(eta[: len(eta) - eta.count(0)], nvars - 1)
+        for eta in _interlacing(shape):
+            below = _schur_monomials(eta, nvars - 1)
             last = (size - sum(eta),)
             for mono, c in below.items():
                 key = mono + last
@@ -137,36 +136,14 @@ def _branching_expansion():
 _schur_monomials = _branching_expansion()
 
 
-def _strip_shrinks(shape: Weight, size: int) -> list[Weight]:
-    """Partitions eta inside ``shape`` with shape/eta a horizontal strip of ``size``."""
-    n = len(shape)
-    out: list[Weight] = []
-    acc: list[int] = []
-
-    def rec(i: int, remaining: int) -> None:
-        if i == n:
-            if remaining == 0:
-                eta = tuple(acc)
-                while eta and eta[-1] == 0:
-                    eta = eta[:-1]
-                out.append(eta)
-            return
-        lo = shape[i + 1] if i + 1 < n else 0
-        for eta_i in range(shape[i], max(lo, shape[i] - remaining) - 1, -1):
-            acc.append(eta_i)
-            rec(i + 1, remaining - (shape[i] - eta_i))
-            acc.pop()
-
-    rec(0, size)
-    return out
-
-
 @lru_cache(maxsize=KOSTKA_CACHE_SIZE)
 def kostka_number(shape: Weight, content: Weight) -> int:
     """Count semistandard tableaux of ``shape`` with exactly ``content``.
 
     Peels the cells holding the largest value (a horizontal strip along
     the boundary) and recurses; no Littlewood-Richardson logic involved.
+    The strips are the partitions ``_interlacing`` lists with the right
+    number of cells.
     """
     shape = as_partition(shape)
     content = tuple(content)
@@ -176,9 +153,8 @@ def kostka_number(shape: Weight, content: Weight) -> int:
         return 1
     if not content:
         return 0
-    return sum(
-        kostka_number(eta, content[:-1]) for eta in _strip_shrinks(shape, content[-1])
-    )
+    size = sum(shape) - content[-1]
+    return sum(kostka_number(eta, content[:-1]) for eta in _interlacing(shape) if sum(eta) == size)
 
 
 @lru_cache(maxsize=PARTITION_LIST_CACHE_SIZE)

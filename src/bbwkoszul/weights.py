@@ -14,12 +14,14 @@ factor plus each weight of the other (Brauer-Klimyk), and
 ``wedge_weights`` feeds it the sums of the j-subsets of the weights of
 one irreducible. Borel-Weil-Bott needs no full sort: ``bbw`` places the
 k subbundle entries into the quotient part, which the staircase already
-leaves in order. Both products are cached on their arguments, and the
-cached values are read-only mappings that callers share.
-``weight_multiplicities`` lists the weights of a factor, each distinct
-weight once: the rearrangements of every dominant weight mu below the
-highest one, with the Kostka number of mu as multiplicity. No tableau is
-listed; the tableau enumeration lives in ``oracles`` as the second route.
+leaves in order. Both products check their arguments and then read a
+cached core, and the cached values are read-only mappings that callers
+share. ``weight_multiplicities`` lists the weights of a factor, each
+distinct weight once: the rearrangements of every dominant weight mu
+below the highest one, with the Kostka number of mu as multiplicity. A
+Kostka number peels horizontal strips, listed by one product over the
+ranges of the partitions that interlace the shape. No tableau is listed;
+the tableau enumeration lives in ``oracles`` as the second route.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from itertools import accumulate, combinations, groupby
+from itertools import accumulate, combinations, groupby, product
 from math import factorial, perm
 from types import MappingProxyType
 
@@ -189,22 +191,10 @@ def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Weight]:
 
 
 def _strip_shrinks(shape: Weight, size: int) -> Iterator[Weight]:
-    """Partitions eta inside ``shape`` with shape/eta a horizontal strip of ``size`` cells."""
-    rows = len(shape)
-    eta = list(shape)
-
-    def rec(i: int, remaining: int) -> Iterator[Weight]:
-        if i == rows:
-            if remaining == 0:
-                yield as_partition(eta)
-            return
-        floor = shape[i + 1] if i + 1 < rows else 0
-        for part in range(shape[i], max(floor, shape[i] - remaining) - 1, -1):
-            eta[i] = part
-            yield from rec(i + 1, remaining - shape[i] + part)
-        eta[i] = shape[i]
-
-    yield from rec(0, size)
+    """The eta of |shape| - size cells with shape_(i+1) <= eta_i <= shape_i: the strips."""
+    target = sum(shape) - size
+    ranges = [range(low, high + 1) for high, low in zip(shape, shape[1:] + (0,))]
+    return (eta[: len(eta) - eta.count(0)] for eta in product(*ranges) if sum(eta) == target)
 
 
 @lru_cache(maxsize=KOSTKA_CACHE_SIZE)
@@ -213,9 +203,10 @@ def _kostka(shape: Weight, mu: Weight) -> int:
 
     Both arguments are partitions. The cells holding the largest letter
     form a horizontal strip of mu[-1] cells; peel it and recurse on the
-    rest. A Kostka number does not change when the content is permuted,
-    so one partition stands for every arrangement, in any number of
-    letters: the key does not depend on n.
+    rest; ``_strip_shrinks`` lists the strips by one product over the
+    interlacing ranges. A Kostka number does not change when the content
+    is permuted, so one partition stands for every arrangement, in any
+    number of letters: the key does not depend on n.
     """
     if not mu:
         return 0 if shape else 1
@@ -378,12 +369,15 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Mapping[Weight, int]:
     # a float entry hashes like the integer, so the cache would mix them
     if type(sum(a) + sum(b)) is not int:
         raise ValueError(f"weights {a}, {b} have a non-integer entry")
+    for w in (a, b):
+        if not is_dominant(w):
+            raise ValueError(f"weight not dominant: {w}")
     return _tensor_product(a, b)
 
 
 @lru_cache(maxsize=TENSOR_CACHE_SIZE)
 def _tensor_product(a: Weight, b: Weight) -> Mapping[Weight, int]:
-    """``tensor_weights`` on two tuples of one length."""
+    """``tensor_weights`` on two dominant tuples of one length."""
     boxes_a, boxes_b = _boxes(a), _boxes(b)
     # list b: fewest boxes of a factor or its dual, then the smaller spread,
     # which a factor and its dual share
@@ -400,20 +394,32 @@ def _tensor_product(a: Weight, b: Weight) -> Mapping[Weight, int]:
     )
 
 
-@lru_cache(maxsize=WEDGE_CACHE_SIZE)
-def wedge_weights(w: Weight, j: int) -> Mapping[Weight, int]:
+def wedge_weights(w: Iterable[int], j: int) -> Mapping[Weight, int]:
     """The j-th exterior power of the GL(n) irreducible of dominant weight ``w``.
 
     Sums the weights of every j-subset of a weight basis, listed with
     multiplicity from ``weight_multiplicities``, and hands the character
-    to ``_straighten``. Empty for j above the dimension. ``w`` is a tuple,
-    whose length is n, and the result is cached on (w, j): a read-only
-    mapping from each highest weight to its multiplicity.
+    to ``_straighten``. Empty for j above the dimension. ``w`` has n
+    integer entries and j is a non-negative int; the result is cached on
+    (w, j): a read-only mapping from each highest weight to its
+    multiplicity.
     """
+    w = tuple(w)
+    # a float entry or power hashes like the integer, so the cache would mix them
+    if type(sum(w)) is not int:
+        raise ValueError(f"weight {w} has a non-integer entry")
+    if not isinstance(j, int):
+        raise ValueError(f"exterior power {j!r} is not an integer")
     if j < 0:
         raise ValueError("negative exterior power")
     if not is_dominant(w):
         raise ValueError(f"weight not dominant: {w}")
+    return _wedge_product(w, j)
+
+
+@lru_cache(maxsize=WEDGE_CACHE_SIZE)
+def _wedge_product(w: Weight, j: int) -> Mapping[Weight, int]:
+    """``wedge_weights`` on a dominant integer tuple and a non-negative int."""
     n, low = len(w), w[-1]
     basis = [nu for nu, m in weight_multiplicities([x - low for x in w], n) for _ in range(m)]
     if j > len(basis):
@@ -431,15 +437,18 @@ def littlewood_richardson(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]
     """Littlewood-Richardson multiplicities of the product of two Schur functors.
 
     Pads both partitions to len(a) + len(b) parts, where the GL(n) product
-    no longer loses constituents, multiplies them with ``tensor_weights``
-    and strips the zeros again. The padding multiplies the rearrangements
-    of each weight, not its Kostka number, which is computed once per
-    dominant weight. The product's weights are dominant and non-negative
-    by construction, so their zeros are the trailing ones and are cut off
-    without validating each weight again. Returns a Counter mapping each
-    partition ``nu`` to its multiplicity.
+    no longer loses constituents, multiplies them with ``_tensor_product``
+    and strips the zeros again. ``as_partition`` has checked the order, so
+    only the integer test of ``tensor_weights`` is repeated. The padding
+    multiplies the rearrangements of each weight, not its Kostka number,
+    which is computed once per dominant weight. The product's weights are
+    dominant and non-negative by construction, so their zeros are the
+    trailing ones and are cut off without validating each weight again.
+    Returns a Counter mapping each partition ``nu`` to its multiplicity.
     """
     pa, pb = as_partition(a), as_partition(b)
+    if type(sum(pa) + sum(pb)) is not int:
+        raise ValueError(f"partitions {pa}, {pb} have a non-integer entry")
     n = max(len(pa) + len(pb), 1)
-    product = tensor_weights(pa + (0,) * (n - len(pa)), pb + (0,) * (n - len(pb)))
-    return Counter({nu[: n - nu.count(0)]: m for nu, m in product.items()})
+    tensored = _tensor_product(pa + (0,) * (n - len(pa)), pb + (0,) * (n - len(pb)))
+    return Counter({nu[: n - nu.count(0)]: m for nu, m in tensored.items()})

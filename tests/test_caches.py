@@ -40,7 +40,7 @@ def test_every_lru_cache_is_bounded():
     assert set(caches) == {
         "bbwkoszul.weights._weyl_product",
         "bbwkoszul.weights._kostka",
-        "bbwkoszul.weights.wedge_weights",
+        "bbwkoszul.weights._wedge_product",
         "bbwkoszul.weights._tensor_product",
         "bbwkoszul.classes.named_class",
         "bbwkoszul.checks._plethysm_character_ok",
@@ -68,7 +68,7 @@ def test_lr_suite_schur_expansions_fit_their_cache():
 
 
 def test_wedge_weights_value_is_read_only():
-    assert weights.wedge_weights.cache_info().maxsize == weights.WEDGE_CACHE_SIZE
+    assert weights._wedge_product.cache_info().maxsize == weights.WEDGE_CACHE_SIZE
     square = weights.wedge_weights((3, 0), 2)
     with pytest.raises(TypeError):
         square[(9, -3)] = 1

@@ -181,6 +181,11 @@ class TestWedge:
         assert wedge_class(sym3, 1) == sym3
         assert wedge_class(sym3, 2).is_empty
 
+    def test_rejects_a_negative_power(self):
+        # the class calls the cached core, which does not check the power
+        with pytest.raises(ValueError, match="negative exterior power"):
+            wedge_class(named_class(GR27, "sym_cube"), -1)
+
     def test_rejects_sums_and_q_weights(self):
         with pytest.raises(ValueError):
             wedge_class(named_class(GR27, "tangent"), 2)

@@ -20,6 +20,8 @@ GOLDEN_SHA256 = "2910a0b388725e2d8ab5a0a98b1dba47e6a9a89d9b6952cf164a211ef8e5bd4
 GOLDEN_ARGV = ("--format", "json", "--no-timestamp")
 # sha256 of the default text report, as written before it went out in batches
 GOLDEN_TEXT_SHA256 = "6adfbeb65b105a7dfb16edb49ef11e6764702f5bfdf0863faeacf196a54e671e"
+# sha256 of the `list-checks` output
+LIST_CHECKS_SHA256 = "fb990ca6a6dd7da23c6871026bbdebba26e7f234b65156ccae2d2920400e578c"
 
 # 50 consecutive d over every d-dependent check but remark-d34: a 455 KB
 # report of about 41 500 encoder tokens
@@ -46,6 +48,15 @@ def test_list_checks(capsys):
     assert code == 0
     for check_id in ("example-universal", "prop-fano", "oracles", "remark-d34"):
         assert check_id in out
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_CHECKS_SHA256
+
+
+def test_project_version_is_the_reported_version():
+    # the report prints __version__ and installed metadata carries the
+    # pyproject version; a regex, since Python 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)^\[", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [bbwkoszul.__version__]
 
 
 def test_clean_range_exits_zero(capsys):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from math import comb
 
@@ -21,6 +22,7 @@ from bbwkoszul.koszul import (
     koszul_analysis,
     restricted_cohomology,
 )
+from bbwkoszul.oracles import random_bundle
 
 
 def plane(d):
@@ -280,6 +282,32 @@ class TestEulerConsistency:
         ctx = plane(3)
         assert euler_consistency(ctx, named_class(ctx, "tangent"))
         assert euler_consistency(ctx, named_class(ctx, "sym_cube_dual"))
+
+    def test_restriction_page_is_the_ideal_page_shifted_past_the_coefficient(self):
+        # column 0 of the restriction page is F itself and column p - 1 is
+        # column p of the ideal-sheaf page, so chi(restriction page) =
+        # chi(F) - chi(ideal page) holds by construction: that half of
+        # euler_consistency checks no cohomology
+        coefficients = [
+            (ctx, named_class(ctx, name))
+            for d in range(3, 9)
+            for ctx in (plane(d), line(d))
+            for name in ("tangent", "sym_cube_dual", "trivial")
+        ]
+        rng = random.Random(3)
+        for n in range(5, 9):
+            ctx = Grassmannian(2, n)
+            for _ in range(10):
+                coefficients.append((ctx, EquivariantClass(ctx, {random_bundle(ctx, rng, 4): 1})))
+        assert len(coefficients) == 76
+        for ctx, coefficient in coefficients:
+            ideal = build_page(ctx, IDEAL_SHEAF, coefficient)
+            restriction = build_page(ctx, RESTRICTION, coefficient)
+            shifted = {p - 1: column for p, column in ideal.columns.items()}
+            assert dict(restriction.columns) == {0: coefficient.cohomology(), **shifted}
+            assert restriction.euler_characteristic() == (
+                coefficient.euler_characteristic() - ideal.euler_characteristic()
+            )
 
     def test_page_euler_characteristic_is_an_int(self):
         # a float sign would round once the dimensions pass 2**53

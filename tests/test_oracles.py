@@ -8,8 +8,53 @@ then report failed cases rather than pass or raise.
 
 from collections import Counter
 
-from bbwkoszul import oracles
+import pytest
+
+from bbwkoszul import oracles, weights
 from bbwkoszul.weights import partitions_of
+
+
+def _interlacing_of_size(shape, size):
+    return [eta for eta in oracles._interlacing(shape) if sum(eta) == size]
+
+
+@pytest.mark.parametrize(
+    "strips",
+    [
+        lambda shape, s: list(weights._strip_shrinks(shape, s)),
+        lambda shape, s: _interlacing_of_size(shape, sum(shape) - s),
+    ],
+    ids=["weights", "oracles"],
+)
+def test_strip_walks_list_the_interlacing_partitions(strips):
+    # shape/eta is a horizontal strip of s cells exactly when eta has
+    # |shape| - s cells and shape_(i+1) <= eta_i <= shape_i; the reference
+    # tests that definition on every partition of that size
+    for size in range(9):
+        for shape in partitions_of(size):
+            floors = shape[1:] + (0,)
+            for s in range(size + 1):
+                expected = {
+                    eta
+                    for eta in partitions_of(size - s, max_parts=len(shape))
+                    if all(
+                        low <= part <= high
+                        for high, low, part in zip(
+                            shape, floors, eta + (0,) * (len(shape) - len(eta))
+                        )
+                    )
+                }
+                listed = strips(shape, s)
+                assert len(listed) == len(set(listed)), (shape, s)
+                assert set(listed) == expected, (shape, s)
+
+
+def test_engine_and_oracle_kostka_numbers_agree():
+    for size in range(8):
+        shapes = list(partitions_of(size))
+        for shape in shapes:
+            for mu in shapes:
+                assert weights._kostka(shape, mu) == oracles.kostka_number(shape, mu), (shape, mu)
 
 
 def test_branching_expansions_match_the_tableau_contents():

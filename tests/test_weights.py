@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb
@@ -327,6 +328,24 @@ class TestTensorWeights:
             assert [tuple(map(type, w)) for w in product] == [(int, int)] * 2
             assert product == {(3, 0): 1, (2, 1): 1}
 
+    @pytest.mark.parametrize(
+        "a, b, named",
+        [
+            ((3, 1, 2, 0), (5, 0, 0, 0), "(3, 1, 2, 0)"),
+            ((3, 1, 2, 0), (1, 0, 0, 0), "(3, 1, 2, 0)"),
+            ((1, 2), (5, 0), "(1, 2)"),
+        ],
+        ids=["sym5", "vector", "rank-two"],
+    )
+    def test_rejects_a_non_dominant_factor_before_the_cache(self, a, b, named):
+        # the factor is named, not a weight derived from it, and no entry is
+        # stored for either order of the factors
+        weights._tensor_product.cache_clear()
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match=rf"not dominant: {re.escape(named)}$"):
+                tensor_weights(*pair)
+        assert weights._tensor_product.cache_info().currsize == 0
+
     @given(weight_pair_strategy())
     def test_duality(self, pair):
         a, b = pair
@@ -434,6 +453,25 @@ class TestWedgeWeights:
             wedge_weights((3, 0), -1)
         with pytest.raises(ValueError):
             wedge_weights((0, 3), 1)
+        for power in (1.5, "1", None):
+            with pytest.raises(ValueError, match="not an integer"):
+                wedge_weights((3, 0), power)
+
+    @pytest.mark.parametrize(
+        "w, j", [((2.0, 0.0), 1), ((2, 0), 1.0)], ids=["float-entry", "float-power"]
+    )
+    def test_rejects_a_float_whether_or_not_its_integer_twin_is_cached(self, w, j):
+        # (2.0, 0.0) and 1.0 hash like (2, 0) and 1, so only a test before
+        # the cache keeps the float key from reading or storing the integer's
+        for integer_first in (False, True):
+            weights._wedge_product.cache_clear()
+            if integer_first:
+                wedge_weights((2, 0), 1)
+            with pytest.raises(ValueError, match="not an integer|non-integer"):
+                wedge_weights(w, j)
+            power = wedge_weights((2, 0), 1)
+            assert [tuple(map(type, mu)) for mu in power] == [(int, int)]
+            assert power == {(2, 0): 1}
 
 
 class TestLittlewoodRichardson:
@@ -479,6 +517,12 @@ class TestLittlewoodRichardson:
                 return weyl_dimension(p + (0,) * (n - len(p)), n)
 
             assert sum(c * dim(nu) for nu, c in product.items()) == dim(a) * dim(b)
+
+    def test_rejects_a_float_entry(self):
+        # the padded partitions go to the cached product without the
+        # wrapper, so the float check is made here
+        with pytest.raises(ValueError, match="non-integer"):
+            littlewood_richardson((2.0,), (1,))
 
     def test_against_polynomial_products_small(self):
         shapes = [p for size in range(5) for p in partitions_of(size)]
