@@ -18,11 +18,19 @@ plus a newline. The standard library writes indented output with its
 pure-Python encoder, which resumes one generator per nesting level for
 every token; the writer here appends each key or scalar to a list once and
 encodes strings with the C function the standard library uses.
+
+``console_main()`` is the process entry: the ``verify`` script and
+``python -m bbwkoszul.cli`` run it. It returns ``main()``'s exit code after
+``gc.freeze()``, so that the collector's passes at interpreter shutdown skip
+every object the run left. ``main()`` itself never freezes: tests and
+library callers run it in long-lived processes, where a frozen object,
+and every cycle it holds, would never be collected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -267,5 +275,13 @@ def main(argv: list[str] | None = None) -> int:
     return report.exit_code(strict_paper=args.strict_paper)
 
 
+def console_main() -> int:
+    """main() for a process that exits as soon as it returns."""
+    code = main()
+    # only the exit follows, which frees the whole process at once
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -350,18 +350,19 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Mapping[Weight, int]:
     """Decompose the tensor product of two GL(n) irreducibles (Brauer-Klimyk).
 
     ``a`` and ``b`` are dominant weights of the same length n with integer
-    entries, which may be negative. The product is ``_straighten`` of one
-    factor plus each weight of the other, counted with multiplicity. The
-    weights come from the partition with the fewest boxes among those of
-    a, b and their duals, ties going to the factor with the smaller spread
-    ``w[0] - w[-1]``: the boxes bound the number of weights, so
-    Sym^2 V (x) wedge^(n/2) V lists the n(n+1)/2 weights of Sym^2 V, not
-    the C(n, n/2) of the exterior power. ``weight_multiplicities`` gives
-    each distinct weight once, so a weight costs one sort however many
-    tableaux share it. When that partition is a dual's, the duals are
-    multiplied and the result dualized. A factor of spread 0 is a power of
-    the determinant and only shifts the other. Returns a read-only mapping
-    from each highest weight to its multiplicity, cached on (a, b).
+    entries, which may be negative; for n = 0 the product is ``{(): 1}``.
+    The product is ``_straighten`` of one factor plus each weight of the
+    other, counted with multiplicity. The weights come from the partition
+    with the fewest boxes among those of a, b and their duals, ties going to
+    the factor with the smaller spread ``w[0] - w[-1]``: the boxes bound the
+    number of weights, so Sym^2 V (x) wedge^(n/2) V lists the n(n+1)/2
+    weights of Sym^2 V, not the C(n, n/2) of the exterior power.
+    ``weight_multiplicities`` gives each distinct weight once, so a weight
+    costs one sort however many tableaux share it. When that partition is a
+    dual's, the duals are multiplied and the result dualized. A factor of
+    spread 0 is a power of the determinant and only shifts the other.
+    Returns a read-only mapping from each highest weight to its
+    multiplicity, cached on (a, b).
     """
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
@@ -372,6 +373,9 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Mapping[Weight, int]:
     for w in (a, b):
         if not is_dominant(w):
             raise ValueError(f"weight not dominant: {w}")
+    if not a:
+        # GL(0): the product of two trivial one-dimensional representations
+        return MappingProxyType(Counter({(): 1}))
     return _tensor_product(a, b)
 
 
@@ -399,7 +403,8 @@ def wedge_weights(w: Iterable[int], j: int) -> Mapping[Weight, int]:
 
     Sums the weights of every j-subset of a weight basis, listed with
     multiplicity from ``weight_multiplicities``, and hands the character
-    to ``_straighten``. Empty for j above the dimension. ``w`` has n
+    to ``_straighten``. Empty for j above the dimension, so for n = 0 it
+    is ``{(): 1}`` for j <= 1 and empty above. ``w`` has n
     integer entries and j is a non-negative int; the result is cached on
     (w, j): a read-only mapping from each highest weight to its
     multiplicity.
@@ -414,6 +419,9 @@ def wedge_weights(w: Iterable[int], j: int) -> Mapping[Weight, int]:
         raise ValueError("negative exterior power")
     if not is_dominant(w):
         raise ValueError(f"weight not dominant: {w}")
+    if not w:
+        # GL(0): the one-dimensional trivial representation
+        return MappingProxyType(Counter({(): 1} if j <= 1 else {}))
     return _wedge_product(w, j)
 
 

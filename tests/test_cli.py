@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import io
 import json
@@ -57,6 +58,37 @@ def test_project_version_is_the_reported_version():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     project = re.search(r"^\[project\]$(.*?)^\[", pyproject, re.M | re.S).group(1)
     assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [bbwkoszul.__version__]
+
+
+def test_verify_script_is_the_freezing_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)^\[", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'^verify = "([^"]*)"$', scripts, re.M) == ["bbwkoszul.cli:console_main"]
+
+
+def test_console_main_freezes_after_main_and_returns_its_code(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    assert cli.console_main() == 3
+    assert events == ["main", "freeze"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--d-min", "6", "--d-max", "6", "--check", "theorem-moduli"), 0),
+        (("list-checks",), 0),
+        (("--d-min", "2"), 2),
+    ],
+    ids=["report", "list-checks", "usage-error"],
+)
+def test_main_never_freezes_the_collector(capsys, argv, code):
+    # a frozen object, and every cycle it holds, is never collected: only
+    # the process entry may freeze, just before the interpreter exits
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, *argv)[0] == code
+    assert gc.get_freeze_count() == frozen
 
 
 def test_clean_range_exits_zero(capsys):
@@ -290,6 +322,48 @@ def test_closed_stdout_text_report_exits_141(unbuffered):
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == cli.EXIT_STDOUT_CLOSED
     assert b"Traceback" not in err, err.decode()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--d-min", "2"), 2),
+        (("--strict-paper", "--format", "json", "--no-timestamp"), 3),
+    ],
+    ids=["usage-error", "strict-paper"],
+)
+def test_module_entry_exits_with_the_code_of_main(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbwkoszul.cli", *argv],
+        capture_output=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+
+
+# runs the module as `python -m` does, and reports at exit how many
+# objects the collector's last passes skip
+FREEZE_AT_EXIT_SCRIPT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
+sys.argv[0] = "verify"
+runpy.run_module("bbwkoszul.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_module_entry_freezes_before_exit():
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_AT_EXIT_SCRIPT, "list-checks"],
+        capture_output=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == LIST_CHECKS_SHA256
+    frozen = re.fullmatch(rb"frozen (\d+)\n", proc.stderr)
+    assert frozen and int(frozen.group(1)) > 0, proc.stderr.decode()
 
 
 def test_default_text_report_digest_in_bounded_writes(monkeypatch):

@@ -531,6 +531,30 @@ class TestLittlewoodRichardson:
                 assert littlewood_richardson(a, b) == schur_product_decomposition(a, b)
 
 
+def test_gl0_is_answered_before_any_cache():
+    # the empty weight is the one-dimensional trivial representation of
+    # GL(0); the cached cores read w[-1], so the wrappers answer it first
+    for cache in (weights._weyl_product, weights._tensor_product, weights._wedge_product):
+        cache.cache_clear()
+    assert weyl_dimension(()) == 1
+    assert tensor_weights((), ()) == {(): 1}
+    assert [wedge_weights((), j) for j in range(4)] == [{(): 1}, {(): 1}, {}, {}]
+    assert weights._tensor_product.cache_info().currsize == 0
+    assert weights._wedge_product.cache_info().currsize == 0
+    # the product of Schur functors pads both partitions to one part
+    assert littlewood_richardson((), ()) == Counter({(): 1})
+    with pytest.raises(TypeError):
+        tensor_weights((), ())[()] = 2
+    with pytest.raises(TypeError):
+        wedge_weights((), 2)[()] = 1
+    with pytest.raises(ValueError, match="negative exterior power"):
+        wedge_weights((), -1)
+    with pytest.raises(ValueError, match="not an integer"):
+        wedge_weights((), 1.0)
+    with pytest.raises(ValueError, match="different lengths"):
+        tensor_weights((), (0,))
+
+
 def test_oracle_caches_are_bounded():
     # a long-lived process that runs the oracle row must not grow without limit
     assert oracles._schur_monomials.cache_info().maxsize == oracles.SCHUR_MONOMIALS_CACHE_SIZE
