@@ -19,10 +19,11 @@ Values are checked where they enter, by one validator.
 entries, and dominance through ``weights.is_dominant``. It runs in the
 public constructor of ``classes.EquivariantClass``, in
 ``bbw_cohomology`` and in ``bundle_rank``, and nowhere else.
-``bbw_cohomology`` is ``validate_bundle`` followed by the private
-placement ``_place``, which trusts its bundle: class cohomology and
-``EquivariantClass.rank`` trust their summands, which fit the class's
-context, so they call ``_place`` and ``weyl_dimension`` directly. A
+``bbw_cohomology`` wraps in a profile what the private placement
+``_place`` returns on a validated bundle: ``(degree, weight)``, or None
+on a collision. Class cohomology and ``EquivariantClass.rank`` trust
+their summands, which fit the class's context, so they call ``_place``
+and ``weyl_dimension`` directly. A
 ``CohomologyProfile`` built by hand validates its weights and
 multiplicities; the profiles the engine builds itself skip that check.
 
@@ -202,11 +203,13 @@ def bbw_cohomology(ctx: Grassmannian, bundle: Bundle) -> CohomologyProfile:
     non-dominant factor. The placement itself is ``_place``.
     """
     validate_bundle(ctx, bundle)
-    return _place(ctx, bundle)
+    placed = _place(ctx, bundle)
+    groups = {} if placed is None else {placed[0]: {placed[1]: 1}}
+    return CohomologyProfile._trusted(ctx.n, groups)
 
 
-def _place(ctx: Grassmannian, bundle: Bundle) -> CohomologyProfile:
-    """``bbw_cohomology`` of a bundle already known to fit ``ctx``.
+def _place(ctx: Grassmannian, bundle: Bundle) -> tuple[int, Weight] | None:
+    """The ``(degree, GL(V) weight)`` of the one group of a bundle known to fit ``ctx``, or None.
 
     The quotient part j -> lam_q[j] + n - j of the shifted weight is
     strictly decreasing, and so is the subbundle part i -> mu_s[i] + k - i.
@@ -236,13 +239,13 @@ def _place(ctx: Grassmannian, bundle: Bundle) -> CohomologyProfile:
             else:
                 hi = mid
         if lo < m and lam[lo] - lo == target:
-            return CohomologyProfile._trusted(n, {})
+            return None
         degree += m - lo
         out.extend(map(add, lam[start:lo], repeat(i)) if i else lam[:lo])
         out.append(x - m + lo)
         start = lo
     out.extend(map(add, lam[start:], repeat(k)))
-    return CohomologyProfile._trusted(n, {degree: {tuple(out): 1}})
+    return degree, tuple(out)
 
 
 def canonical_bundle(ctx: Grassmannian) -> Bundle:

@@ -587,27 +587,28 @@ def list_checks() -> list[dict]:
 def _resolve(check_ids) -> tuple[CheckDef, ...]:
     if isinstance(check_ids, str):
         raise UsageError(f"expected a collection of check ids, got the string {check_ids!r}")
-    if not check_ids:
+    # read once: an iterator gives the same checks as its list
+    ids = list(check_ids or ())
+    if not ids:
         return CATALOG
     by_id = {c.check_id: c for c in CATALOG}
-    unknown = [c for c in check_ids if c not in by_id]
+    # the type test first: an unhashable id cannot be looked up
+    unknown = [c for c in ids if not (isinstance(c, str) and c in by_id)]
     if unknown:
-        raise UsageError(f"unknown check ids: {', '.join(sorted(unknown))}")
-    wanted = set(check_ids)
+        raise UsageError(f"unknown check ids: {', '.join(sorted(map(repr, unknown)))}")
+    wanted = set(ids)
     return tuple(c for c in CATALOG if c.check_id in wanted)
 
 
-def _execute(
-    cdef: CheckDef, d: int | None, plan: tuple, axiom_dicts: dict[str, dict]
-) -> CheckResult:
+def _execute(cdef: CheckDef, d: int | None, plan: tuple) -> CheckResult:
     rows, provenance = plan
     if d is not None and not cdef.applies(d):
         outcome = (SKIPPED, None, None, f"skipped: applies for {cdef.applicability}", ())
     else:
         outcome = cdef.run(d, _evaluate(rows, d))
     status, computed, expected, notes, axiom_names = outcome
-    # copies, so that no two rows share a mutable dict
-    axioms = tuple(dict(axiom_dicts[name]) for name in dict.fromkeys(axiom_names))
+    # a fresh dict per row, so that no two rows share a mutable dict
+    axioms = tuple(AXIOMS[name].to_dict() for name in dict.fromkeys(axiom_names))
     return CheckResult(
         check=cdef.check_id,
         d=d,
@@ -636,10 +637,7 @@ def run_checks(d_min: int = 3, d_max: int = 12, check_ids=None) -> Report:
     ]
     for d in range(d_min, d_max + 1):
         tasks.extend((cdef, d) for cdef in defs if not cdef.d_independent)
-    axiom_dicts = {name: axiom.to_dict() for name, axiom in AXIOMS.items()}
-    results = [
-        _execute(cdef, d, _PLANS.get(cdef.check_id, _NO_ROWS), axiom_dicts) for cdef, d in tasks
-    ]
+    results = [_execute(cdef, d, _PLANS.get(cdef.check_id, _NO_ROWS)) for cdef, d in tasks]
     order = {c.check_id: i for i, c in enumerate(CATALOG)}
     results.sort(key=lambda r: (order[r.check], r.d if r.d is not None else -1))
     return Report(

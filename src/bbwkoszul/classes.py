@@ -9,8 +9,8 @@ integer factors of the context's ranks). Both straighten by the signed
 sort ``weights.dominant_sort`` and take GL(r) weights with negative
 entries as they are.
 Cohomology of a class is the multiplicity-weighted union over its
-summands, gathered into one profile, and each summand's group comes from
-``bbw._place``, which places the k subbundle entries.
+summands, folded into one profile from each summand's ``(degree,
+weight)``, or None, that ``bbw._place`` returns.
 
 A bundle is checked by one validator, ``bbw.validate_bundle``, in full
 and only where it enters from outside the engine: in the public
@@ -162,11 +162,12 @@ class EquivariantClass:
         groups: dict[int, dict[Weight, int]] = {}
         for b, m in self._summands.items():
             # every summand fits the context (see the class docstring), so
-            # it goes to the placement unchecked; its groups are read in place
-            for q, part in _place(self.ctx, b)._groups.items():
-                group = groups.setdefault(q, {})
-                for w, c in part.items():
-                    group[w] = group.get(w, 0) + m * c
+            # it goes to the placement unchecked
+            placed = _place(self.ctx, b)
+            if placed is not None:
+                degree, w = placed
+                group = groups.setdefault(degree, {})
+                group[w] = group.get(w, 0) + m
         self._profile = CohomologyProfile._trusted(self.ctx.n, groups)
         return self._profile
 

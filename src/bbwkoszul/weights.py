@@ -18,7 +18,9 @@ leaves in order. Both products check their arguments and then read a
 cached core, and the cached values are read-only mappings that callers
 share. ``weight_multiplicities`` lists the weights of a factor, each
 distinct weight once: the rearrangements of every dominant weight mu
-below the highest one, with the Kostka number of mu as multiplicity. A
+below the highest one, with the Kostka number of mu as multiplicity.
+``_dominated`` is the one walk over the dominance order: it lists those
+mu, and ``partitions_of(n)`` is the walk below the one-row shape (n). A
 Kostka number peels horizontal strips, listed by one product over the
 ranges of the partitions that interlace the shape. No tableau is listed;
 the tableau enumeration lives in ``oracles`` as the second route.
@@ -75,10 +77,7 @@ def as_partition(shape: Iterable[int]) -> Weight:
         raise ValueError(f"not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise ValueError(f"negative part: {p}")
-    end = len(p)
-    while end and p[end - 1] == 0:
-        end -= 1
-    return p[:end]
+    return p[: len(p) - p.count(0)]
 
 
 def dominant_sort(weight: Iterable[int]) -> tuple[int, Weight] | None:
@@ -173,21 +172,10 @@ def weyl_dimension(weight: Iterable[int], n: int | None = None) -> int:
 
 
 def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Weight]:
-    """Yield the partitions of n as tuples, largest part first."""
+    """The partitions of n, in decreasing lex order: the weights below the one-row shape (n)."""
     if n < 0:
-        return
-
-    def rec(remaining: int, cap: int, slots: int) -> Iterator[Weight]:
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
-
-    yield from rec(n, n, max_parts if max_parts is not None else n)
+        return iter(())
+    return _dominated((n,), n if max_parts is None else max_parts)
 
 
 def _strip_shrinks(shape: Weight, size: int) -> Iterator[Weight]:
@@ -220,8 +208,11 @@ def _dominated(shape: Weight, n: int) -> Iterator[Weight]:
     """Partitions mu of |shape| with at most n parts and mu <= shape in dominance order.
 
     These are the dominant weights of the GL(n) irreducible of ``shape``:
-    mu_1 + ... + mu_i never exceeds shape_1 + ... + shape_i.
+    mu_1 + ... + mu_i never exceeds shape_1 + ... + shape_i. They come in
+    decreasing lexicographic order. A negative n raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"negative number of letters: {n}")
     bounds = list(accumulate(shape))
     total = bounds[-1] if bounds else 0
     mu: list[int] = []

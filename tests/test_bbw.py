@@ -293,21 +293,25 @@ class TestSerre:
         # 0..dim (all zero there), but the mirrored ones land below 0. The
         # bundle's side is the public bbw_cohomology and the partner's side
         # is its class cohomology, which calls the placement, so lift both
+        # (a profile on one side, a (degree, weight) placement on the other)
         top = GR27.dimension
         lifted_calls = []
+        cohomology, place = classes.bbw_cohomology, classes._place
 
-        def lifted(original):
-            def lift(ctx, bundle):
-                lifted_calls.append(original.__name__)
-                profile = original(ctx, bundle)
-                return CohomologyProfile(
-                    ctx.n, {q + top + 1: profile.weights(q) for q in profile.degrees()}
-                )
+        def lifted_cohomology(ctx, bundle):
+            lifted_calls.append("bbw_cohomology")
+            profile = cohomology(ctx, bundle)
+            return CohomologyProfile(
+                ctx.n, {q + top + 1: profile.weights(q) for q in profile.degrees()}
+            )
 
-            return lift
+        def lifted_place(ctx, bundle):
+            lifted_calls.append("_place")
+            placed = place(ctx, bundle)
+            return None if placed is None else (placed[0] + top + 1, placed[1])
 
-        monkeypatch.setattr(classes, "bbw_cohomology", lifted(classes.bbw_cohomology))
-        monkeypatch.setattr(classes, "_place", lifted(classes._place))
+        monkeypatch.setattr(classes, "bbw_cohomology", lifted_cohomology)
+        monkeypatch.setattr(classes, "_place", lifted_place)
         assert not serre_check(GR27, Bundle((0,) * 5, (0, -3)))
         assert sorted(lifted_calls) == ["_place", "bbw_cohomology"]
 

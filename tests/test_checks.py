@@ -162,6 +162,21 @@ class TestRunChecks:
         with pytest.raises(UsageError, match="a collection of check ids"):
             run_checks(5, 5, "lemma-s")
 
+    @pytest.mark.parametrize(
+        "check_ids, named",
+        [([1], "1"), ([None], "None"), (b"ab", "97, 98"), ([["x"]], r"\['x'\]")],
+        ids=["int", "None", "bytes", "list"],
+    )
+    def test_an_id_that_is_not_a_string_is_a_usage_error(self, check_ids, named):
+        with pytest.raises(UsageError, match=f"unknown check ids: {named}$"):
+            run_checks(5, 5, check_ids)
+
+    @pytest.mark.parametrize("ids", [["lemma-s"], ["lemma-s", "prop-fano"], []])
+    def test_an_iterator_of_ids_gives_the_report_of_its_list(self, ids):
+        report = run_checks(5, 5, iter(ids))
+        assert report.to_dict() == run_checks(5, 5, list(ids)).to_dict()
+        assert report.checks and report.results
+
     @pytest.mark.parametrize("d_min, d_max", [(5.0, 6.0), (5, 6.0), (5.5, 7)])
     def test_non_integer_range_is_a_usage_error(self, d_min, d_max):
         with pytest.raises(UsageError):

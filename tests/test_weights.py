@@ -1,6 +1,6 @@
 import re
 from collections import Counter
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 from operator import add
 
@@ -243,7 +243,7 @@ class TestWeightMultiplicities:
         # weight once with a Kostka number and never sees a tableau
         for size in range(8):
             for shape in partitions_of(size):
-                for n in range(1, 7):
+                for n in range(7):
                     listed = list(weight_multiplicities(shape, n))
                     assert len(listed) == len({w for w, _ in listed})
                     assert dict(listed) == Counter(ssyt_contents(shape, n)), (shape, n)
@@ -565,6 +565,41 @@ def test_partition_counts():
     assert sum(1 for _ in partitions_of(6)) == 11
     assert list(partitions_of(0)) == [()]
     assert list(partitions_of(3, max_parts=2)) == [(3,), (2, 1)]
+    assert list(partitions_of(-1)) == []
+
+
+def test_partitions_come_in_decreasing_lexicographic_order():
+    # the peel of oracles.schur_product_decomposition relies on this order
+    for n in range(11):
+        brute = sorted(
+            (
+                parts[::-1]
+                for r in range(n + 1)
+                for parts in combinations_with_replacement(range(1, n + 1), r)
+                if sum(parts) == n
+            ),
+            reverse=True,
+        )
+        assert list(partitions_of(n)) == brute, n
+        for max_parts in range(n + 2):
+            assert list(partitions_of(n, max_parts)) == [
+                p for p in brute if len(p) <= max_parts
+            ], (n, max_parts)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: list(weight_multiplicities((1,), -1)),
+        lambda: list(weight_multiplicities((2, 1), -1)),
+        lambda: list(partitions_of(3, -1)),
+        lambda: count_ssyt((1,), -1),
+    ],
+    ids=["weights-(1)", "weights-(2,1)", "partitions", "count-ssyt"],
+)
+def test_negative_number_of_letters_is_rejected(walk):
+    with pytest.raises(ValueError, match="negative number of letters"):
+        walk()
 
 
 def test_as_partition_strips_long_zero_tail():
