@@ -14,9 +14,7 @@ from .bbw import (
     CohomologyProfile,
     Grassmannian,
     bbw_cohomology,
-    bundle_rank,
     canonical_bundle,
-    rho,
 )
 from .checks import AXIOMS, Axiom, CheckResult, Report, UsageError, list_checks, run_checks
 from .classes import (
@@ -39,7 +37,6 @@ from .koszul import (
     build_page,
     deformation_numbers,
     euler_consistency,
-    ideal_sheaf_cohomology,
     koszul_analysis,
     restricted_cohomology,
 )
@@ -74,14 +71,12 @@ __all__ = [
     "analyze",
     "bbw_cohomology",
     "build_page",
-    "bundle_rank",
     "canonical_bundle",
     "count_ssyt",
     "deformation_numbers",
     "det_shift",
     "dominant_sort",
     "euler_consistency",
-    "ideal_sheaf_cohomology",
     "is_dominant",
     "koszul_analysis",
     "list_checks",
@@ -89,7 +84,6 @@ __all__ = [
     "named_class",
     "partitions_of",
     "restricted_cohomology",
-    "rho",
     "run_checks",
     "serre_check",
     "wedge_class",

@@ -15,17 +15,18 @@ entries. ``weights.dominant_sort`` stays the straightening rule of
 products.
 
 Values are checked where they enter, by one validator.
-``validate_bundle`` checks a bundle in full: both lengths, integer
-entries, and dominance through ``weights.is_dominant``. It runs in the
-public constructor of ``classes.EquivariantClass``, in
-``bbw_cohomology`` and in ``bundle_rank``, and nowhere else.
+``validate_bundle`` checks a bundle in full: both lengths here, then
+integer entries and dominance of each factor through the one weight
+check, ``weights._checked_weight``. It runs in the public constructor of
+``classes.EquivariantClass`` and in ``bbw_cohomology``, and nowhere else.
 ``bbw_cohomology`` wraps in a profile what the private placement
 ``_place`` returns on a validated bundle: ``(degree, weight)``, or None
 on a collision. Class cohomology and ``EquivariantClass.rank`` trust
 their summands, which fit the class's context, so they call ``_place``
 and ``weyl_dimension`` directly. A
-``CohomologyProfile`` built by hand validates its weights and
-multiplicities; the profiles the engine builds itself skip that check.
+``CohomologyProfile`` built by hand validates its n, its degrees, its
+weights (through the same weight check) and its multiplicities; the
+profiles the engine builds itself skip that check.
 
 The full GL(V)-equivariant weight is always tracked; the determinant of V
 is never trivialized here. Comparisons against determinant-twisted
@@ -39,7 +40,7 @@ from itertools import repeat
 from operator import add, neg
 from typing import NamedTuple
 
-from .weights import Weight, is_dominant, weyl_dimension
+from .weights import Weight, _checked_weight, weyl_dimension
 
 
 class _GrassmannianFields(NamedTuple):
@@ -96,29 +97,12 @@ class Bundle(NamedTuple):
 
 
 def validate_bundle(ctx: Grassmannian, bundle: Bundle) -> None:
-    """The one bundle check: both factors fit ``ctx``, have integer entries and are dominant."""
+    """The one bundle check: both factors fit ``ctx`` and pass the one weight check."""
     lam, mu = bundle
     if len(lam) != ctx.n - ctx.k or len(mu) != ctx.k:
         raise ValueError(f"{bundle} does not fit Gr({ctx.k},{ctx.n})")
-    # a float or a Fraction entry makes the sum a float or a Fraction
-    if type(sum(lam) + sum(mu)) is not int:
-        raise ValueError(f"{bundle} has a non-integer entry")
-    if not (is_dominant(lam) and is_dominant(mu)):
-        raise ValueError(f"{bundle} has a non-dominant factor")
-
-
-def bundle_rank(ctx: Grassmannian, bundle: Bundle) -> int:
-    validate_bundle(ctx, bundle)
-    return weyl_dimension(bundle.lam_q, ctx.quotient_rank) * weyl_dimension(
-        bundle.mu_s, ctx.k
-    )
-
-
-def rho(n: int) -> Weight:
-    """The staircase (n, n-1, ..., 1)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return tuple(range(n, 0, -1))
+    _checked_weight(lam)
+    _checked_weight(mu)
 
 
 class CohomologyProfile:
@@ -126,8 +110,9 @@ class CohomologyProfile:
 
     Only nonzero groups are stored. Dimensions are derived, never stored:
     each weight contributes its Weyl dimension times its multiplicity.
-    Every weight must be a dominant weight of GL(n) with integer entries,
-    and every multiplicity a non-negative integer.
+    n and every degree must be non-negative integers, every weight a
+    dominant weight of GL(n) with integer entries, and every multiplicity
+    a non-negative integer.
 
     A class keeps the profile of its cohomology, so one profile may be
     handed to many callers. No code mutates a profile once it is built:
@@ -138,14 +123,18 @@ class CohomologyProfile:
     __slots__ = ("n", "_groups")
 
     def __init__(self, n: int, groups: dict[int, dict[Weight, int]] | None = None):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"n = {n!r} is not a non-negative integer")
         self.n = n
         store: dict[int, dict[Weight, int]] = {}
         for q, ws in (groups or {}).items():
+            if not isinstance(q, int) or q < 0:
+                raise ValueError(f"degree {q!r} is not a non-negative integer")
             c: dict[Weight, int] = {}
             for w, m in ws.items():
-                w = tuple(w)
-                if len(w) != n or type(sum(w)) is not int or not is_dominant(w):
-                    raise ValueError(f"{w} is not a dominant integral weight of GL({n})")
+                w = _checked_weight(w)
+                if len(w) != n:
+                    raise ValueError(f"{w} is not a weight of GL({n})")
                 if not isinstance(m, int) or m < 0:
                     raise ValueError(f"multiplicity {m!r} is not a non-negative integer")
                 if m:
@@ -174,7 +163,7 @@ class CohomologyProfile:
 
     def dimension(self, q: int) -> int:
         return sum(
-            m * weyl_dimension(w, self.n) for w, m in self._groups.get(q, {}).items()
+            m * weyl_dimension(w) for w, m in self._groups.get(q, {}).items()
         )
 
     def euler_characteristic(self) -> int:

@@ -26,7 +26,6 @@ from .koszul import (
     deformation_numbers,
     euler_consistency,
     factor_pages,
-    ideal_sheaf_cohomology,
     koszul_analysis,
     restricted_cohomology,
 )
@@ -57,9 +56,6 @@ class Axiom(NamedTuple):
     name: str
     statement: str
     source: str
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 # (wedge level, factor label, quotient head, quotient fill, subbundle weights with multiplicity)
@@ -338,7 +334,7 @@ def _proposition(d: int, side: str, label: str, ideal_degrees: int):
     """
     ctx = Grassmannian.projective_space(d + 2) if side == "cubic" else _plane(d)
     normal = named_class(ctx, "sym_cube_dual")
-    ideal = ideal_sheaf_cohomology(ctx, normal)
+    ideal = koszul_analysis(ctx, normal).ideal
     restricted_normal = restricted_cohomology(ctx, normal)
     restricted_tangent = restricted_cohomology(ctx, named_class(ctx, "tangent"))
     numbers = deformation_numbers(d, side)
@@ -524,10 +520,6 @@ class CheckResult(NamedTuple):
     axioms: tuple[dict, ...]
     notes: str
 
-    def to_dict(self) -> dict:
-        # shallow: the computed and expected values are not copied
-        return self._asdict()
-
 
 class Report(NamedTuple):
     version: str
@@ -565,7 +557,8 @@ class Report(NamedTuple):
         return {
             "version": self.version,
             "params": params,
-            "results": [r.to_dict() for r in self.results],
+            # shallow: the computed and expected values are not copied
+            "results": [r._asdict() for r in self.results],
             "summary": self.summary,
         }
 
@@ -585,12 +578,18 @@ def list_checks() -> list[dict]:
 
 
 def _resolve(check_ids) -> tuple[CheckDef, ...]:
+    if check_ids is None:
+        return CATALOG
     if isinstance(check_ids, str):
         raise UsageError(f"expected a collection of check ids, got the string {check_ids!r}")
+    try:
+        listed = iter(check_ids)
+    except TypeError:
+        raise UsageError(f"expected a collection of check ids, got {check_ids!r}") from None
     # read once: an iterator gives the same checks as its list
-    ids = list(check_ids or ())
+    ids = list(listed)
     if not ids:
-        return CATALOG
+        return CATALOG  # an empty selection runs every check, as None does
     by_id = {c.check_id: c for c in CATALOG}
     # the type test first: an unhashable id cannot be looked up
     unknown = [c for c in ids if not (isinstance(c, str) and c in by_id)]
@@ -608,7 +607,7 @@ def _execute(cdef: CheckDef, d: int | None, plan: tuple) -> CheckResult:
         outcome = cdef.run(d, _evaluate(rows, d))
     status, computed, expected, notes, axiom_names = outcome
     # a fresh dict per row, so that no two rows share a mutable dict
-    axioms = tuple(AXIOMS[name].to_dict() for name in dict.fromkeys(axiom_names))
+    axioms = tuple(AXIOMS[name]._asdict() for name in dict.fromkeys(axiom_names))
     return CheckResult(
         check=cdef.check_id,
         d=d,

@@ -14,8 +14,9 @@ weight)``, or None, that ``bbw._place`` returns.
 
 A bundle is checked by one validator, ``bbw.validate_bundle``, in full
 and only where it enters from outside the engine: in the public
-constructor (``EquivariantClass(...)``, ``irreducible``), in
-``bbw.bbw_cohomology`` and in ``bbw.bundle_rank``. The classes the
+constructor (``EquivariantClass(...)``, ``irreducible``) and in
+``bbw.bbw_cohomology``. It checks each factor with
+``weights._checked_weight``, the one weight check. The classes the
 engine builds itself are trusted and not checked: ``named_class``, whose
 bundles fit every valid context by construction, and the classes built
 from valid ones (``tensor``, ``shifted``, ``wedge_class``, ``+``), with
@@ -62,7 +63,7 @@ class EquivariantClass:
     multiplicity is a positive integer. The one validator,
     ``bbw.validate_bundle``, runs where a bundle enters from outside: in
     the public constructor on every bundle it is given, and in
-    ``bbw.bbw_cohomology`` and ``bbw.bundle_rank``. The trusted builders
+    ``bbw.bbw_cohomology``. The trusted builders
     run none: ``named_class`` builds only dominant factors of the
     context's ranks, for every name and every valid context; ``tensor``,
     ``shifted``, ``+``, ``wedge_class`` and the partner in
@@ -106,14 +107,6 @@ class EquivariantClass:
     def irreducible(cls, ctx: Grassmannian, lam_q, mu_s) -> "EquivariantClass":
         return cls(ctx, {Bundle(tuple(lam_q), tuple(mu_s)): 1})
 
-    @classmethod
-    def trivial(cls, ctx: Grassmannian) -> "EquivariantClass":
-        return cls.irreducible(ctx, (0,) * ctx.quotient_rank, (0,) * ctx.k)
-
-    @classmethod
-    def empty(cls, ctx: Grassmannian) -> "EquivariantClass":
-        return cls(ctx)
-
     def summands(self) -> dict[Bundle, int]:
         return dict(self._summands)
 
@@ -122,9 +115,8 @@ class EquivariantClass:
         return not self._summands
 
     def rank(self) -> int:
-        q, k = self.ctx.quotient_rank, self.ctx.k
         return sum(
-            m * weyl_dimension(b.lam_q, q) * weyl_dimension(b.mu_s, k)
+            m * weyl_dimension(b.lam_q) * weyl_dimension(b.mu_s)
             for b, m in self._summands.items()
         )
 

@@ -315,13 +315,6 @@ def koszul_analysis(ctx: Grassmannian, coefficient: EquivariantClass) -> KoszulA
     )
 
 
-def ideal_sheaf_cohomology(
-    ctx: Grassmannian, coefficient: EquivariantClass
-) -> dict[int, DimValue]:
-    """Cohomology of (ideal sheaf of Z) tensor F, per degree, from the page verdicts."""
-    return dict(enumerate(koszul_analysis(ctx, coefficient).ideal))
-
-
 def restricted_cohomology(
     ctx: Grassmannian, coefficient: EquivariantClass
 ) -> dict[int, DimValue]:

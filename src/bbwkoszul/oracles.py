@@ -366,7 +366,7 @@ def ssyt_weyl_suite(max_size: int, max_n: int) -> dict:
                 if len(shape) > n:
                     expected = 0
                 else:
-                    expected = weyl_dimension(shape + (0,) * (n - len(shape)), n)
+                    expected = weyl_dimension(shape + (0,) * (n - len(shape)))
                 cases += 1
                 if counted != expected:
                     failures.append({"shape": list(shape), "n": n})

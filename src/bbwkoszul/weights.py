@@ -14,11 +14,14 @@ factor plus each weight of the other (Brauer-Klimyk), and
 ``wedge_weights`` feeds it the sums of the j-subsets of the weights of
 one irreducible. Borel-Weil-Bott needs no full sort: ``bbw`` places the
 k subbundle entries into the quotient part, which the staircase already
-leaves in order. Both products check their arguments and then read a
-cached core, and the cached values are read-only mappings that callers
-share. ``weight_multiplicities`` lists the weights of a factor, each
-distinct weight once: the rearrangements of every dominant weight mu
-below the highest one, with the Kostka number of mu as multiplicity.
+leaves in order. A weight from outside passes one check,
+``_checked_weight`` (integer entries, weakly decreasing), before any
+cache is read; ``bbw`` runs it too. Both products check their arguments
+and then read a cached core, and the cached values are read-only
+mappings that callers share. ``weight_multiplicities`` lists the weights
+of a factor, each distinct weight once: the rearrangements of every
+dominant weight mu below the highest one, with the Kostka number of mu
+as multiplicity.
 ``_dominated`` is the one walk over the dominance order: it lists those
 mu, and ``partitions_of(n)`` is the walk below the one-row shape (n). A
 Kostka number peels horizontal strips, listed by one product over the
@@ -66,15 +69,34 @@ def is_dominant(weight: Iterable[int]) -> bool:
     return w == sorted(w, reverse=True)
 
 
+def _checked_weight(weight: Iterable[int]) -> Weight:
+    """The one weight check: integer entries, weakly decreasing. Returns the tuple.
+
+    Every entry point that takes a weight from outside runs it before any
+    cache is read: ``as_partition``, ``tensor_weights``, ``wedge_weights``,
+    ``bbw.validate_bundle`` and the public ``CohomologyProfile``
+    constructor. Each keeps its own length rule. ``weyl_dimension`` splits
+    the check instead: it tests integrality before its cache and
+    ``_weyl_product`` tests dominance inside it, so a cached weight never
+    pays ``is_dominant`` on the reads of ``CohomologyProfile.dimension``
+    and ``EquivariantClass.rank``.
+    """
+    w = tuple(weight)
+    # a float entry hashes like the integer, so a cache would mix them
+    if type(sum(w)) is not int:
+        raise ValueError(f"weight {w} has a non-integer entry")
+    if not is_dominant(w):
+        raise ValueError(f"weight not dominant: {w}")
+    return w
+
+
 def as_partition(shape: Iterable[int]) -> Weight:
     """Normalize to a partition tuple, stripping trailing zeros.
 
-    Raises ValueError when the input is not weakly decreasing or has a
-    negative part.
+    Raises ValueError when an entry is not an integer, or the input is not
+    weakly decreasing or has a negative part.
     """
-    p = tuple(shape)
-    if not is_dominant(p):
-        raise ValueError(f"not weakly decreasing: {p}")
+    p = _checked_weight(shape)
     if p and p[-1] < 0:
         raise ValueError(f"negative part: {p}")
     return p[: len(p) - p.count(0)]
@@ -153,19 +175,14 @@ def _weyl_product(w: Weight) -> int:
     return q
 
 
-def weyl_dimension(weight: Iterable[int], n: int | None = None) -> int:
-    """Dimension of the GL(n) irreducible with highest weight ``weight``.
+def weyl_dimension(weight: Iterable[int]) -> int:
+    """Dimension of the GL(n) irreducible with highest weight ``weight``, n its length.
 
-    The weight must be dominant of length exactly n (n defaults to the
-    length), with integer entries. Adding a constant to every entry does
-    not change the result.
+    The weight must be dominant, with integer entries. Adding a constant to
+    every entry does not change the result. The check of
+    ``_checked_weight`` is split around the cache (see there).
     """
     w = tuple(weight)
-    if n is None:
-        n = len(w)
-    if len(w) != n:
-        raise ValueError(f"weight {w} does not have length {n}")
-    # a float entry hashes like the integer, so the cache would mix them
     if type(sum(w)) is not int:
         raise ValueError(f"weight {w} has a non-integer entry")
     return _weyl_product(w)
@@ -173,6 +190,8 @@ def weyl_dimension(weight: Iterable[int], n: int | None = None) -> int:
 
 def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Weight]:
     """The partitions of n, in decreasing lex order: the weights below the one-row shape (n)."""
+    if not isinstance(n, int):
+        raise ValueError(f"{n!r} is not an integer")
     if n < 0:
         return iter(())
     return _dominated((n,), n if max_parts is None else max_parts)
@@ -209,8 +228,11 @@ def _dominated(shape: Weight, n: int) -> Iterator[Weight]:
 
     These are the dominant weights of the GL(n) irreducible of ``shape``:
     mu_1 + ... + mu_i never exceeds shape_1 + ... + shape_i. They come in
-    decreasing lexicographic order. A negative n raises ValueError.
+    decreasing lexicographic order. An n that is not a non-negative int
+    raises ValueError.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"number of letters {n!r} is not an integer")
     if n < 0:
         raise ValueError(f"negative number of letters: {n}")
     bounds = list(accumulate(shape))
@@ -355,15 +377,9 @@ def tensor_weights(a: Iterable[int], b: Iterable[int]) -> Mapping[Weight, int]:
     Returns a read-only mapping from each highest weight to its
     multiplicity, cached on (a, b).
     """
-    a, b = tuple(a), tuple(b)
+    a, b = _checked_weight(a), _checked_weight(b)
     if len(a) != len(b):
         raise ValueError(f"weights of different lengths: {a}, {b}")
-    # a float entry hashes like the integer, so the cache would mix them
-    if type(sum(a) + sum(b)) is not int:
-        raise ValueError(f"weights {a}, {b} have a non-integer entry")
-    for w in (a, b):
-        if not is_dominant(w):
-            raise ValueError(f"weight not dominant: {w}")
     if not a:
         # GL(0): the product of two trivial one-dimensional representations
         return MappingProxyType(Counter({(): 1}))
@@ -400,16 +416,12 @@ def wedge_weights(w: Iterable[int], j: int) -> Mapping[Weight, int]:
     (w, j): a read-only mapping from each highest weight to its
     multiplicity.
     """
-    w = tuple(w)
-    # a float entry or power hashes like the integer, so the cache would mix them
-    if type(sum(w)) is not int:
-        raise ValueError(f"weight {w} has a non-integer entry")
+    w = _checked_weight(w)
+    # a float power hashes like the integer too
     if not isinstance(j, int):
         raise ValueError(f"exterior power {j!r} is not an integer")
     if j < 0:
         raise ValueError("negative exterior power")
-    if not is_dominant(w):
-        raise ValueError(f"weight not dominant: {w}")
     if not w:
         # GL(0): the one-dimensional trivial representation
         return MappingProxyType(Counter({(): 1} if j <= 1 else {}))
@@ -437,8 +449,8 @@ def littlewood_richardson(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]
 
     Pads both partitions to len(a) + len(b) parts, where the GL(n) product
     no longer loses constituents, multiplies them with ``_tensor_product``
-    and strips the zeros again. ``as_partition`` has checked the order, so
-    only the integer test of ``tensor_weights`` is repeated. The padding
+    and strips the zeros again, without the checks of ``tensor_weights``:
+    ``as_partition`` has run the one weight check on both. The padding
     multiplies the rearrangements of each weight, not its Kostka number,
     which is computed once per dominant weight. The product's weights are
     dominant and non-negative by construction, so their zeros are the
@@ -446,8 +458,6 @@ def littlewood_richardson(a: Iterable[int], b: Iterable[int]) -> Counter[Weight]
     Returns a Counter mapping each partition ``nu`` to its multiplicity.
     """
     pa, pb = as_partition(a), as_partition(b)
-    if type(sum(pa) + sum(pb)) is not int:
-        raise ValueError(f"partitions {pa}, {pb} have a non-integer entry")
     n = max(len(pa) + len(pb), 1)
     tensored = _tensor_product(pa + (0,) * (n - len(pa)), pb + (0,) * (n - len(pb)))
     return Counter({nu[: n - nu.count(0)]: m for nu, m in tensored.items()})

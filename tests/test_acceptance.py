@@ -20,7 +20,7 @@ from bbwkoszul import (
     build_page,
     deformation_numbers,
     euler_consistency,
-    ideal_sheaf_cohomology,
+    koszul_analysis,
     named_class,
     restricted_cohomology,
     run_checks,
@@ -156,7 +156,7 @@ def test_criterion_5_cubic_side():
         for d in range(3, 31):
             ctx = line(d)
             twist = named_class(ctx, "O(3)")
-            ideal = ideal_sheaf_cohomology(ctx, twist)
+            ideal = koszul_analysis(ctx, twist).ideal
             assert ideal[0].exact == 1
             assert ideal[1].exact == 0
             tangent = named_class(ctx, "tangent")
@@ -172,7 +172,7 @@ def test_criterion_6_fano_side():
         for d in range(5, 31):
             ctx = plane(d)
             normal = named_class(ctx, "sym_cube_dual")
-            ideal = ideal_sheaf_cohomology(ctx, normal)
+            ideal = koszul_analysis(ctx, normal).ideal
             assert ideal[0].exact == 1
             assert ideal[1].exact == 0
             assert ideal[2].exact == 0

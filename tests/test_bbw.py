@@ -8,9 +8,7 @@ from bbwkoszul.bbw import (
     CohomologyProfile,
     Grassmannian,
     bbw_cohomology,
-    bundle_rank,
     canonical_bundle,
-    rho,
     validate_bundle,
 )
 from bbwkoszul import classes
@@ -19,12 +17,6 @@ from bbwkoszul.oracles import random_bundle
 from bbwkoszul.weights import dominant_sort
 
 GR27 = Grassmannian(2, 7)
-
-
-def test_rho():
-    assert rho(4) == (4, 3, 2, 1)
-    assert rho(1) == (1,)
-    assert rho(7) == (7, 6, 5, 4, 3, 2, 1)
 
 
 def test_context_validation():
@@ -76,7 +68,7 @@ class TestSingleBundles:
 
 def sorted_route(ctx, bundle):
     """BBW by sorting all n entries of the staircase-shifted concatenation."""
-    staircase = rho(ctx.n)
+    staircase = tuple(range(ctx.n, 0, -1))
     outcome = dominant_sort(map(sum, zip(bundle.lam_q + bundle.mu_s, staircase)))
     if outcome is None:
         return CohomologyProfile(ctx.n)
@@ -371,11 +363,30 @@ class TestProfiles:
         with pytest.raises(ValueError):
             CohomologyProfile(2, {0: {(0, 1): 1}})  # not dominant
 
+    @pytest.mark.parametrize(
+        "n, groups",
+        [
+            (1, {0.5: {(0,): 1}}),
+            (1, {"a": {(0,): 1}}),
+            (1, {-2: {(0,): 1}}),
+            (3.0, {0: {(0, 0, 0): 1}}),
+            (-1, {}),
+        ],
+        ids=["half-degree", "string-degree", "negative-degree", "float-n", "negative-n"],
+    )
+    def test_rejects_a_degree_or_n_that_is_not_a_non_negative_int(self, n, groups):
+        # a degree of 0.5 made the Euler characteristic a complex number
+        with pytest.raises(ValueError, match="not a non-negative integer"):
+            CohomologyProfile(n, groups)
+
     def test_equality_and_empty(self):
         assert CohomologyProfile(7) == CohomologyProfile(7, {0: {}})
         assert CohomologyProfile(7).is_empty
         assert CohomologyProfile(7) != CohomologyProfile(8)
 
     def test_rank(self):
-        assert bundle_rank(GR27, Bundle((0,) * 5, (3, 0))) == 4
-        assert bundle_rank(GR27, Bundle((1, 0, 0, 0, 0), (0, -1))) == 10
+        def rank(bundle):
+            return classes.EquivariantClass(GR27, {bundle: 1}).rank()
+
+        assert rank(Bundle((0,) * 5, (3, 0))) == 4
+        assert rank(Bundle((1, 0, 0, 0, 0), (0, -1))) == 10

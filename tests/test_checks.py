@@ -65,7 +65,7 @@ class TestRunChecks:
         assert "H0_tangent_fano_zero" in axiom_names
         # axioms are listed verbatim from the registry
         for axiom in row.axioms:
-            assert axiom == checks.AXIOMS[axiom["name"]].to_dict()
+            assert axiom == checks.AXIOMS[axiom["name"]]._asdict()
 
     def test_vanishing_table_rows_pass(self):
         report = run_checks(6, 12, ["lemma-cohomology"])
@@ -169,6 +169,12 @@ class TestRunChecks:
     )
     def test_an_id_that_is_not_a_string_is_a_usage_error(self, check_ids, named):
         with pytest.raises(UsageError, match=f"unknown check ids: {named}$"):
+            run_checks(5, 5, check_ids)
+
+    @pytest.mark.parametrize("check_ids", [5, 0, 0.0, False], ids=["int", "zero", "float", "false"])
+    def test_check_ids_that_cannot_be_listed_are_a_usage_error(self, check_ids):
+        # only None selects the whole catalog; an empty list still does too
+        with pytest.raises(UsageError, match=f"got {check_ids!r}$"):
             run_checks(5, 5, check_ids)
 
     @pytest.mark.parametrize("ids", [["lemma-s"], ["lemma-s", "prop-fano"], []])

@@ -94,8 +94,9 @@ def test_grassmannian_pickles():
 
 
 def test_check_result_to_dict_is_shallow_in_field_order():
-    row = run_checks(5, 5, ["theorem-moduli"]).results[0]
-    out = row.to_dict()
+    report = run_checks(5, 5, ["theorem-moduli"])
+    row = report.results[0]
+    (out,) = report.to_dict()["results"]
     assert list(out) == [
         "check", "d", "status", "computed", "expected", "provenance", "axioms", "notes"
     ]

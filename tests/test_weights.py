@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bbwkoszul import oracles, weights
+from bbwkoszul.bbw import Bundle, CohomologyProfile, Grassmannian, validate_bundle
 from bbwkoszul.oracles import (
     kostka_number,
     schur_product_decomposition,
@@ -147,10 +148,6 @@ class TestWeylDimension:
     def test_trivial_weight(self, n):
         assert weyl_dimension((0,) * n) == 1
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            weyl_dimension((1, 0), 3)
-
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             weyl_dimension((0, 1))
@@ -222,7 +219,7 @@ class TestCountSsyt:
             for shape in partitions_of(size):
                 for n in range(1, 5):
                     padded = shape + (0,) * (n - len(shape))
-                    expected = weyl_dimension(padded, n) if len(shape) <= n else 0
+                    expected = weyl_dimension(padded) if len(shape) <= n else 0
                     assert count_ssyt(shape, n) == expected
 
     def test_contents_are_kostka_numbers(self):
@@ -248,7 +245,7 @@ class TestWeightMultiplicities:
                     assert len(listed) == len({w for w, _ in listed})
                     assert dict(listed) == Counter(ssyt_contents(shape, n)), (shape, n)
                     padded = shape + (0,) * (n - len(shape))
-                    expected = weyl_dimension(padded, n) if len(shape) <= n else 0
+                    expected = weyl_dimension(padded) if len(shape) <= n else 0
                     assert count_ssyt(shape, n) == expected, (shape, n)
 
     def test_large_n_product(self):
@@ -514,13 +511,13 @@ class TestLittlewoodRichardson:
             def dim(p):
                 if len(p) > n:
                     return 0
-                return weyl_dimension(p + (0,) * (n - len(p)), n)
+                return weyl_dimension(p + (0,) * (n - len(p)))
 
             assert sum(c * dim(nu) for nu, c in product.items()) == dim(a) * dim(b)
 
     def test_rejects_a_float_entry(self):
         # the padded partitions go to the cached product without the
-        # wrapper, so the float check is made here
+        # wrapper, so as_partition makes the float check
         with pytest.raises(ValueError, match="non-integer"):
             littlewood_richardson((2.0,), (1,))
 
@@ -588,18 +585,58 @@ def test_partitions_come_in_decreasing_lexicographic_order():
 
 
 @pytest.mark.parametrize(
-    "walk",
+    "walk, message",
     [
-        lambda: list(weight_multiplicities((1,), -1)),
-        lambda: list(weight_multiplicities((2, 1), -1)),
-        lambda: list(partitions_of(3, -1)),
-        lambda: count_ssyt((1,), -1),
+        (lambda: list(weight_multiplicities((1,), -1)), "negative number of letters"),
+        (lambda: list(weight_multiplicities((2, 1), -1)), "negative number of letters"),
+        (lambda: list(partitions_of(3, -1)), "negative number of letters"),
+        (lambda: count_ssyt((1,), -1), "negative number of letters"),
+        (lambda: count_ssyt((2.0,), 2), "non-integer"),
+        (lambda: list(weight_multiplicities((2.0,), 2)), "non-integer"),
+        (lambda: list(weight_multiplicities((1,), 2.0)), "letters 2.0 is not an integer"),
+        (lambda: list(partitions_of(3, 2.0)), "letters 2.0 is not an integer"),
+        (lambda: list(partitions_of(2.0)), "2.0 is not an integer"),
     ],
-    ids=["weights-(1)", "weights-(2,1)", "partitions", "count-ssyt"],
+    ids=[
+        "weights-(1)",
+        "weights-(2,1)",
+        "partitions",
+        "count-ssyt",
+        "count-ssyt-float-shape",
+        "weights-float-shape",
+        "weights-float-letters",
+        "partitions-float-parts",
+        "partitions-float-n",
+    ],
 )
-def test_negative_number_of_letters_is_rejected(walk):
-    with pytest.raises(ValueError, match="negative number of letters"):
+def test_negative_number_of_letters_is_rejected(walk, message):
+    # a float letter count or shape is a ValueError, not a TypeError from range
+    with pytest.raises(ValueError, match=message):
         walk()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        as_partition,
+        lambda w: tensor_weights(w, (0, 0)),
+        lambda w: wedge_weights(w, 1),
+        lambda w: validate_bundle(Grassmannian(2, 4), Bundle((0, 0), w)),
+        lambda w: CohomologyProfile(2, {0: {w: 1}}),
+    ],
+    ids=["as-partition", "tensor", "wedge", "bundle", "profile"],
+)
+@pytest.mark.parametrize("weight", [(2.0, 1), (0, 1)], ids=["float-entry", "non-dominant"])
+def test_every_entry_point_runs_the_one_weight_check(entry, weight):
+    # the same ValueError as the shared check's, raised before any cache is read
+    with pytest.raises(ValueError) as shared:
+        weights._checked_weight(weight)
+    caches = (weights._weyl_product, weights._kostka, weights._tensor_product, weights._wedge_product)
+    before = [cache.cache_info() for cache in caches]
+    with pytest.raises(ValueError) as raised:
+        entry(weight)
+    assert str(raised.value) == str(shared.value)
+    assert [cache.cache_info() for cache in caches] == before
 
 
 def test_as_partition_strips_long_zero_tail():
