@@ -6,8 +6,10 @@ Usage:
     verify list-checks
 
 Exit codes: 0 success, 1 at least one failed check, 2 usage error,
-3 (only under --strict-paper) at least one paper-discrepancy, 141 stdout
-closed before the report was written (the shell's code for SIGPIPE).
+4 no failed check but at least one undetermined row (a needed value is
+only a range), 3 (only under --strict-paper, after 1 and 4) at least one
+paper-discrepancy, 141 stdout closed before the report was written (the
+shell's code for SIGPIPE).
 
 A report goes to stdout in bounded writes, one per batch of JSON writer
 pieces or of text lines: never one per piece, and never one for a whole

@@ -6,9 +6,8 @@ regularly; the exterior powers of the dual of that bundle resolve the
 ideal sheaf of Z and, one step longer, its structure sheaf. Tensoring the
 resolution with a coefficient class F and taking cohomology gives a first
 page E1 whose columns this module computes exactly. The page keeps the
-tensored terms too, and ``factor_pages`` hands those of the tangent and
-normal-class pages to the ``decompositions`` check of ``checks``, which
-compares the displayed decompositions with them.
+tensored terms too, so a reader of a memoised page gets the classes
+next to their cohomology without building them again.
 
 Degeneration is decided by the engine's current heuristic, the isolation
 rule, which the one predicate ``_may_join`` states. An entry is taken to
@@ -59,9 +58,9 @@ class KoszulPage(NamedTuple):
     class and ``columns[p]`` its full cohomology profile; the (p, q) entry
     is the degree-q slice of the column. Ideal-sheaf pages use exterior
     powers 1..r of the cubic symmetric power of S (p = 1-level),
-    restriction pages 0..r (p = -level). A page is identified by its key
-    (ctx, variant, coefficient); equality and hashing ignore the terms and
-    columns, which the key determines.
+    restriction pages 0..r (p = -level). Two pages are equal when all five
+    fields are; a page is not hashable, since its terms and columns are
+    read-only mappings.
     """
 
     ctx: Grassmannian
@@ -69,19 +68,6 @@ class KoszulPage(NamedTuple):
     coefficient: EquivariantClass
     terms: Mapping[int, EquivariantClass]
     columns: Mapping[int, CohomologyProfile]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KoszulPage):
-            return NotImplemented
-        return self[:3] == other[:3]
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, KoszulPage):
-            return NotImplemented
-        return self[:3] != other[:3]
-
-    def __hash__(self) -> int:
-        return hash(self[:3])
 
     @property
     def p_min(self) -> int:
@@ -406,21 +392,3 @@ def euler_consistency(ctx: Grassmannian, coefficient: EquivariantClass) -> bool:
         coefficient.euler_characteristic() - analysis.page.euler_characteristic()
     )
 
-
-def factor_pages(
-    ctx: Grassmannian,
-) -> dict[tuple[str, int], tuple[EquivariantClass, CohomologyProfile]]:
-    """The terms and columns of the memoised ideal-sheaf pages of the two factors.
-
-    The factors are the tangent bundle and the dual cubic power, labelled
-    "tangent" and "sym3dual" as in the displayed decompositions. Keyed by
-    (label, wedge level), in that order and with levels increasing; the
-    value is the Koszul term of that level and its cohomology, the classes
-    and groups of the vanishing table.
-    """
-    out = {}
-    for label, name in (("tangent", "tangent"), ("sym3dual", "sym_cube_dual")):
-        page = koszul_analysis(ctx, named_class(ctx, name)).page
-        for p in sorted(page.columns, key=page.wedge_level):
-            out[label, page.wedge_level(p)] = page.terms[p], page.columns[p]
-    return out

@@ -83,7 +83,11 @@ def _checked_weight(weight: Iterable[int]) -> Weight:
     """
     w = tuple(weight)
     # a float entry hashes like the integer, so a cache would mix them
-    if type(sum(w)) is not int:
+    try:
+        integral = type(sum(w)) is int
+    except TypeError:  # an entry that is not a number
+        integral = False
+    if not integral:
         raise ValueError(f"weight {w} has a non-integer entry")
     if not is_dominant(w):
         raise ValueError(f"weight not dominant: {w}")
@@ -183,7 +187,11 @@ def weyl_dimension(weight: Iterable[int]) -> int:
     ``_checked_weight`` is split around the cache (see there).
     """
     w = tuple(weight)
-    if type(sum(w)) is not int:
+    try:
+        integral = type(sum(w)) is int
+    except TypeError:  # an entry that is not a number
+        integral = False
+    if not integral:
         raise ValueError(f"weight {w} has a non-integer entry")
     return _weyl_product(w)
 

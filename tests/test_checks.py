@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from bbwkoszul import bbw, checks, classes
+from bbwkoszul import bbw, checks, classes, cli
 from bbwkoszul.checks import (
     CATALOG,
     CheckResult,
@@ -13,6 +13,7 @@ from bbwkoszul.checks import (
     list_checks,
     run_checks,
 )
+from bbwkoszul.koszul import UnderdeterminedError
 
 
 def expected_document() -> dict:
@@ -375,3 +376,111 @@ class TestPlethysmIdentity:
         assert not checks._plethysm_character_ok(3, ((6, 3), (6, 3)))
         assert not checks._plethysm_character_ok(4, ((6, 3),))
         assert checks._plethysm_character_ok(2, ((5, 1), (3, 3)))
+
+
+def _move(target, source):
+    """A change of the factor pages: the entry at ``source`` also sits at ``target``."""
+
+    def change(pages):
+        pages[target] = pages[source]
+
+    return change
+
+
+def _swap(a, b):
+    def change(pages):
+        pages[a], pages[b] = pages[b], pages[a]
+
+    return change
+
+
+class TestLemmaCohomologyEngineSide:
+    """The vanishing-table row fails when the pages, not the claim, change.
+
+    At d = 5 the tangent group sits at ("tangent", 2) and the normal group
+    at ("sym3dual", 3); the pairing is ("sym3dual", 1), and every other
+    term is acyclic. At d = 6 only the pairing is nonzero.
+    """
+
+    def status_with(self, monkeypatch, d, change):
+        real = checks._factor_pages
+
+        def changed(ctx):
+            pages = real(ctx)
+            change(pages)
+            return pages
+
+        monkeypatch.setattr(checks, "_factor_pages", changed)
+        return only(run_checks(d, d, ["lemma-cohomology"]), "lemma-cohomology", d).status
+
+    @pytest.mark.parametrize("d, status", [(5, "paper-discrepancy"), (6, "pass")])
+    def test_unchanged_pages(self, monkeypatch, d, status):
+        assert self.status_with(monkeypatch, d, lambda pages: None) == status
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            _move(("tangent", 1), ("sym3dual", 1)),
+            _move(("sym3dual", 4), ("sym3dual", 3)),
+            _move(("sym3dual", 3), ("sym3dual", 2)),
+            _swap(("tangent", 2), ("tangent", 3)),
+        ],
+        ids=["third-group", "normal-on-two-levels", "normal-group-gone", "tangent-moves"],
+    )
+    def test_changed_pages_fail_at_d5(self, monkeypatch, change):
+        assert self.status_with(monkeypatch, 5, change) == "fail"
+
+    def test_stray_group_fails_at_d6(self, monkeypatch):
+        change = _move(("tangent", 1), ("sym3dual", 1))
+        assert self.status_with(monkeypatch, 6, change) == "fail"
+
+
+class TestUndetermined:
+    """A value that is only a range makes its row undetermined; the run goes on."""
+
+    @pytest.fixture
+    def ranged_at_6(self, monkeypatch):
+        real = checks.deformation_numbers
+
+        def numbers(d, side):
+            if d == 6:
+                raise UnderdeterminedError(f"restricted cohomology not pinned down at d={d}")
+            return real(d, side)
+
+        monkeypatch.setattr(checks, "deformation_numbers", numbers)
+
+    def test_row_status_and_exit_code(self, ranged_at_6):
+        report = run_checks(5, 6, ["theorem-moduli"])
+        assert [(r.d, r.status) for r in report.results] == [(5, "pass"), (6, "undetermined")]
+        row = report.results[1]
+        assert (row.computed, row.expected, row.axioms) == (None, None, ())
+        assert row.notes == "restricted cohomology not pinned down at d=6"
+        assert report.summary["undetermined"] == 1
+        assert report.exit_code() == report.exit_code(strict_paper=True) == 4
+
+    @pytest.mark.parametrize("output", [(), ("--format", "json")], ids=["text", "json"])
+    def test_verify_exits_4_without_a_traceback(self, ranged_at_6, capsys, output):
+        argv = ["--d-min", "5", "--d-max", "6", "--check", "theorem-moduli", *output]
+        assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "undetermined" in captured.out
+
+    def test_exit_code_order(self, ranged_at_6):
+        # a failed row gives 1 first, then an undetermined row 4, then the
+        # strict flag's 3 for a discrepancy
+        report = run_checks(5, 6, ["lemma-cohomology", "theorem-moduli"])
+        statuses = [(r.check, r.d, r.status) for r in report.results]
+        assert ("lemma-cohomology", 5, "paper-discrepancy") in statuses
+        assert ("theorem-moduli", 6, "undetermined") in statuses
+        assert report.exit_code() == report.exit_code(strict_paper=True) == 4
+        failed = report._replace(results=report.results + (report.results[0]._replace(status="fail"),))
+        assert failed.exit_code() == failed.exit_code(strict_paper=True) == 1
+
+    def test_any_other_exception_propagates(self, monkeypatch):
+        def broken(d, side):
+            raise ZeroDivisionError("not a range")
+
+        monkeypatch.setattr(checks, "deformation_numbers", broken)
+        with pytest.raises(ZeroDivisionError):
+            run_checks(5, 5, ["theorem-moduli"])

@@ -641,7 +641,7 @@ class TestClaimedDecompositions:
             assert all(line["matches"] for line in lines)
 
     def test_top_tangent_line_at_d5(self):
-        computed, _ = koszul.factor_pages(GR27)["tangent", 4]
+        computed, _ = checks._factor_pages(GR27)["tangent", 4]
         assert computed == cls(GR27, (1, 0, 0, 0, 0), (6, 5))
         shifts = {line["line"]: line["det_shift"] for line in decomposition_lines(5, 5)[5]}
         assert shifts["wedge4_tangent"] == 0

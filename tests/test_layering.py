@@ -7,6 +7,11 @@ module path. The rank-2 calculus itself is part of the second route in
 reference with itself, ``oracles`` importing ``gl2`` would be a cycle,
 and the package root exports no reference code.
 
+The engine modules (``weights``, ``bbw``, ``classes``, ``koszul``)
+import nothing from ``checks``, ``cli``, ``oracles`` or ``gl2``: the
+paper's claims and their bookkeeping, the command and the second route
+sit on top of the engine, never inside it.
+
 No module imports a name it never reads, so that code deleted from a
 module takes its imports with it. The package root, whose imports are
 its exports, and the ``gl2`` alias are exempt.
@@ -20,8 +25,8 @@ import pytest
 import bbwkoszul
 
 
-def _imports_gl2(tree: ast.AST) -> bool:
-    """Whether any import statement, at any depth, names a module ``gl2``."""
+def _imports(tree: ast.AST, modules: set[str]) -> bool:
+    """Whether any import statement, at any depth, names one of the modules."""
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -29,7 +34,7 @@ def _imports_gl2(tree: ast.AST) -> bool:
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             names += [module] + [f"{module}.{alias.name}" for alias in node.names]
-    return any("gl2" in name.split(".") for name in names)
+    return any(not modules.isdisjoint(name.split(".")) for name in names)
 
 
 @pytest.mark.parametrize(
@@ -43,7 +48,7 @@ def _imports_gl2(tree: ast.AST) -> bool:
     ],
 )
 def test_every_import_form_is_seen(source):
-    assert _imports_gl2(ast.parse(source))
+    assert _imports(ast.parse(source), {"gl2"})
 
 
 def test_only_the_reference_layers_import_gl2():
@@ -51,7 +56,27 @@ def test_only_the_reference_layers_import_gl2():
     offenders = [
         path.name
         for path in sorted(package.glob("*.py"))
-        if _imports_gl2(ast.parse(path.read_text()))
+        if _imports(ast.parse(path.read_text()), {"gl2"})
+    ]
+    assert offenders == []
+
+
+ENGINE = ("weights", "bbw", "classes", "koszul")
+ABOVE_ENGINE = {"checks", "cli", "oracles", "gl2"}
+
+
+@pytest.mark.parametrize(
+    "source", ["from .checks import _FACTORS", "def f():\n    from . import oracles\n"]
+)
+def test_an_import_from_above_the_engine_is_seen(source):
+    assert _imports(ast.parse(source), ABOVE_ENGINE)
+
+
+def test_the_engine_imports_nothing_from_above_it():
+    package = Path(bbwkoszul.__file__).parent
+    offenders = [
+        name for name in ENGINE
+        if _imports(ast.parse((package / f"{name}.py").read_text()), ABOVE_ENGINE)
     ]
     assert offenders == []
 

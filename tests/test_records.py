@@ -1,7 +1,7 @@
 """Every record of the package is an immutable NamedTuple.
 
 The two records with an invariant validate it however they are built,
-and a Koszul page is identified by its key alone.
+and two Koszul pages are equal exactly when their contents are.
 """
 
 import pickle
@@ -103,15 +103,17 @@ def test_check_result_to_dict_is_shallow_in_field_order():
     assert out["computed"] is row.computed
 
 
-def test_koszul_page_equality_uses_its_key():
+def test_koszul_page_equality_compares_content():
     ctx = Grassmannian(2, 7)
     coefficient = named_class(ctx, "tangent")
     page = build_page(ctx, IDEAL_SHEAF, coefficient)
     again = build_page(ctx, IDEAL_SHEAF, coefficient)
     assert page is not again
-    assert page == again and hash(page) == hash(again)
+    assert page == again and not page != again
+    # the same key with other terms and columns is another page
     bare = page._replace(terms=MappingProxyType({}), columns=MappingProxyType({}))
-    assert bare == page and not bare != page and hash(bare) == hash(page)
+    assert bare != page and not bare == page
     other = build_page(ctx, RESTRICTION, coefficient)
     assert other != page and not other == page
-    assert len({page, again, bare, other}) == 2
+    with pytest.raises(TypeError):
+        hash(page)  # the read-only mappings are not hashable

@@ -175,6 +175,15 @@ class TestWeylDimension:
                 weyl_dimension((2.0, 0.0))
             assert weyl_dimension((2, 0)) == 3
 
+    @pytest.mark.parametrize("weight", [("a", 0), (None, 0)], ids=["str-entry", "none-entry"])
+    def test_rejects_a_non_numeric_entry_before_the_cache(self, weight):
+        # the sum of the entries raises TypeError; the check turns it into
+        # the ValueError of a float entry
+        before = weights._weyl_product.cache_info()
+        with pytest.raises(ValueError, match="non-integer"):
+            weyl_dimension(weight)
+        assert weights._weyl_product.cache_info() == before
+
     @given(run_weights)
     # m = min(delta, length of the later run) = 1 after an earlier run of
     # several entries, whose factors telescope into two falling factorials:
@@ -626,7 +635,11 @@ def test_negative_number_of_letters_is_rejected(walk, message):
     ],
     ids=["as-partition", "tensor", "wedge", "bundle", "profile"],
 )
-@pytest.mark.parametrize("weight", [(2.0, 1), (0, 1)], ids=["float-entry", "non-dominant"])
+@pytest.mark.parametrize(
+    "weight",
+    [(2.0, 1), (0, 1), ("a", 0), (None, 0)],
+    ids=["float-entry", "non-dominant", "str-entry", "none-entry"],
+)
 def test_every_entry_point_runs_the_one_weight_check(entry, weight):
     # the same ValueError as the shared check's, raised before any cache is read
     with pytest.raises(ValueError) as shared:
